@@ -17,8 +17,10 @@ from a ``(name, params)`` pair so that a whole campaign is plain data
 * **engines** — builders ``(**params) -> EnabledSetEngine`` for the
   enabled-set maintenance strategies of :mod:`repro.core.engine`
   (``incremental``, ``scan``, ``debug``) and the columnar batch
-  engine of :mod:`repro.core.batchengine` (``batch``,
-  ``batch-debug``).
+  engine of :mod:`repro.core.batchengine` (``batch``, its alias
+  ``batch-resident``, and ``batch-debug``).  This registry is a view
+  of the core engine table :data:`repro.core.engine.ENGINES`, so an
+  engine registered here is also buildable by ``Simulator(engine=)``.
 
 Metrics tiers (``full`` | ``aggregate`` | ``off``) are deliberately
 *not* a registry: they are a closed three-value knob on
@@ -43,14 +45,9 @@ the decorators::
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict, Iterator, List
+from typing import Callable, Dict, Iterator, List, Optional
 
-from ..core.batchengine import (
-    BatchCrossCheckEngine,
-    BatchEngine,
-    ResidentBatchEngine,
-)
-from ..core.engine import CrossCheckEngine, IncrementalEngine, ScanEngine
+from ..core.engine import ENGINES
 from ..core.scheduler import (
     BoundedFairScheduler,
     CentralScheduler,
@@ -96,9 +93,13 @@ from ..protocols import (
 class Registry:
     """A name -> builder table with decorator-style registration."""
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str,
+                 builders: Optional[Dict[str, Callable]] = None):
         self.kind = kind
-        self._builders: Dict[str, Callable] = {}
+        #: the name -> builder table (shared, not copied, when given)
+        self._builders: Dict[str, Callable] = (
+            {} if builders is None else builders
+        )
 
     def register(self, name: str, builder: Callable = None):
         """Register ``builder`` under ``name``; usable as a decorator."""
@@ -151,7 +152,7 @@ class Registry:
 protocol_registry = Registry("protocol")
 topology_registry = Registry("topology")
 scheduler_registry = Registry("scheduler")
-engine_registry = Registry("engine")
+engine_registry = Registry("engine", ENGINES)
 
 register_protocol = protocol_registry.register
 register_topology = topology_registry.register
@@ -276,37 +277,3 @@ def _fixed_sequence(network, sequence=()):
 def _locally_central(network, p_act: float = 0.5, enabled_only: bool = False):
     return LocallyCentralScheduler(network, p_act=p_act,
                                    enabled_only=enabled_only)
-
-
-# ----------------------------------------------------------------------
-# Built-in enabled-set engines — see repro.core.engine for the design
-# and docs/performance.md for the complexity argument.
-# ----------------------------------------------------------------------
-@register_engine("incremental")
-def _incremental_engine():
-    return IncrementalEngine()
-
-
-@register_engine("scan")
-def _scan_engine():
-    return ScanEngine()
-
-
-@register_engine("debug")
-def _debug_engine():
-    return CrossCheckEngine()
-
-
-@register_engine("batch")
-def _batch_engine():
-    return BatchEngine()
-
-
-@register_engine("batch-debug")
-def _batch_debug_engine():
-    return BatchCrossCheckEngine()
-
-
-@register_engine("batch-resident")
-def _batch_resident_engine():
-    return ResidentBatchEngine()

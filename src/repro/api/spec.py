@@ -17,11 +17,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional
 
+from ..core.engine import make_engine
 from ..core.metrics import METRICS_TIERS
 from ..obs.registry import TELEMETRY
 from ..core.simulator import Simulator
 from .registry import (
-    engine_registry,
     protocol_registry,
     scheduler_registry,
     topology_registry,
@@ -50,10 +50,11 @@ class ExperimentSpec:
     seed: int = 0
     max_rounds: int = 50_000
     #: enabled-set maintenance strategy ("incremental" | "scan" |
-    #: "debug" | "batch" | "batch-debug" | "batch-resident"); every
-    #: engine produces identical executions — "batch-resident" keeps
-    #: state columnar across fused synchronous steps and decodes rows
-    #: only at observation boundaries.
+    #: "debug" | "batch" | "batch-debug"; "batch-resident" is an alias
+    #: of "batch"); every engine produces identical executions — "batch"
+    #: keeps state columnar across steps, fuses synchronous-daemon runs
+    #: below the "full" tier, and decodes rows only at observation
+    #: boundaries.
     engine: str = "incremental"
     #: metrics tier ("full" | "aggregate" | "off"): "aggregate" streams
     #: the paper's measures without per-step records (identical final
@@ -169,7 +170,7 @@ class ExperimentSpec:
         )
 
     def build_engine(self):
-        return engine_registry.build(self.engine)
+        return make_engine(self.engine)
 
     def build_scenario(self):
         """The spec's :class:`~repro.scenarios.Scenario` (None if unset)."""
@@ -252,8 +253,8 @@ def execute_trial(protocol, network, scheduler, seed: int = 0,
                   protocol_factory=None):
     """Run one protocol instance to silence and collect its metrics.
 
-    The single execution path shared by :meth:`ExperimentSpec.run`, the
-    campaign workers, and the legacy ``run_trial`` wrapper.  ``engine``
+    The single execution path shared by :meth:`ExperimentSpec.run` and
+    the campaign workers.  ``engine``
     selects the enabled-set maintenance strategy (name or instance);
     results are engine-independent by the equivalence contract.
     ``metrics`` selects the collection tier — ``full`` and

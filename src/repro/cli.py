@@ -807,8 +807,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--engine", default="incremental",
                      choices=engine_registry.names(),
                      help="enabled-set engine (incremental dirty-set "
-                          "updates, full-scan fallback, or the "
-                          "self-auditing debug mode)")
+                          "updates, full-scan reference, self-auditing "
+                          "debug mode, or columnar batch; batch-resident "
+                          "is an alias of batch)")
     run.add_argument("--metrics", default="full", choices=METRICS_TIERS,
                      help="metrics tier: full per-step records, "
                           "streamed aggregates (identical measures, "

@@ -12,13 +12,13 @@ from .batchengine import (
     BatchCrossCheckEngine,
     BatchEngine,
     BatchKernel,
-    ResidentBatchEngine,
     register_batch_kernel,
 )
 from .columns import ColumnStore
 from .context import StepContext, StepContextPool
 from .engine import (
     ENGINE_NAMES,
+    ENGINES,
     CrossCheckEngine,
     EnabledSetEngine,
     IncrementalEngine,
@@ -84,6 +84,7 @@ __all__ = [
     "Domain",
     "DomainError",
     "ENGINE_NAMES",
+    "ENGINES",
     "EnabledSetEngine",
     "FaultEvent",
     "FiniteSet",
@@ -101,7 +102,6 @@ __all__ = [
     "Protocol",
     "QuiescenceWitness",
     "RandomSubsetScheduler",
-    "ResidentBatchEngine",
     "ReproError",
     "RngStreams",
     "RoundRobinScheduler",

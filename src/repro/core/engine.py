@@ -22,7 +22,7 @@ variables of ``c ⊆ s`` can only change the enabled-status of
 
 Three engines implement one contract (:class:`EnabledSetEngine`):
 
-* :class:`ScanEngine` — the ``full_scan=True`` fallback: rescans every
+* :class:`ScanEngine` — ``engine="scan"``, the reference: rescans every
   process on demand.  ``O(n·Δ)`` per post-step query, trivially correct.
 * :class:`IncrementalEngine` — the default: accumulates a dirty-set per
   step and re-evaluates only dirty guards on demand.  ``O(Δ·|s|)``
@@ -41,7 +41,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from time import perf_counter
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, Optional, Set, Tuple,
+)
 
 from ..obs.registry import TELEMETRY
 from .actions import first_enabled
@@ -50,15 +52,16 @@ from .exceptions import ModelError
 
 ProcessId = Hashable
 
-#: Engine names accepted by :func:`make_engine` (and the registry /
-#: CLI / :class:`~repro.api.ExperimentSpec` layers built on top of it).
-#: ``batch`` / ``batch-debug`` / ``batch-resident`` live in
-#: :mod:`repro.core.batchengine` (columnar whole-step execution with a
-#: scalar fallback; the resident variant keeps state columnar between
-#: steps) and are resolved lazily to keep this module import-light.
-ENGINE_NAMES = (
-    "incremental", "scan", "debug", "batch", "batch-debug", "batch-resident"
-)
+#: The one engine table: name -> zero-argument builder.
+#: :func:`make_engine`, :data:`repro.api.engine_registry` (and through it
+#: ``register_engine``, the CLI and :class:`~repro.api.ExperimentSpec`)
+#: all read and extend it.  The scalar engines are entered below; the
+#: columnar ``batch`` family (with its ``batch-resident`` alias) enters
+#: itself from :mod:`repro.core.batchengine`.
+ENGINES: Dict[str, Callable[[], "EnabledSetEngine"]] = {}
+
+#: Live view of the registered engine names.
+ENGINE_NAMES = ENGINES.keys()
 
 
 class EnabledSetEngine(ABC):
@@ -407,35 +410,23 @@ class CrossCheckEngine(IncrementalEngine):
             )
 
 
-_ENGINES = {
-    cls.name: cls for cls in (IncrementalEngine, ScanEngine, CrossCheckEngine)
-}
+ENGINES.update(
+    incremental=IncrementalEngine, scan=ScanEngine, debug=CrossCheckEngine
+)
 
 
 def make_engine(engine: "str | EnabledSetEngine" = "incremental") -> EnabledSetEngine:
-    """Engine factory: a name from :data:`ENGINE_NAMES` or an instance.
+    """Engine factory: a name from :data:`ENGINES` or an instance.
 
     Passing an already-constructed (unbound) engine through is allowed
     so callers can supply custom implementations.
     """
     if isinstance(engine, EnabledSetEngine):
         return engine
-    if (engine in ("batch", "batch-debug", "batch-resident")
-            and engine not in _ENGINES):
-        # Deferred: batchengine imports this module for the ABC.
-        from .batchengine import (
-            BatchCrossCheckEngine,
-            BatchEngine,
-            ResidentBatchEngine,
-        )
-
-        _ENGINES[BatchEngine.name] = BatchEngine
-        _ENGINES[BatchCrossCheckEngine.name] = BatchCrossCheckEngine
-        _ENGINES[ResidentBatchEngine.name] = ResidentBatchEngine
     try:
-        cls = _ENGINES[engine]
+        builder = ENGINES[engine]
     except (KeyError, TypeError):
         raise ValueError(
-            f"unknown engine {engine!r}; known: {sorted(ENGINE_NAMES)}"
+            f"unknown engine {engine!r}; known: {sorted(ENGINES)}"
         ) from None
-    return cls()
+    return builder()

@@ -13,7 +13,7 @@ Implements the computation model of paper §2 faithfully:
   communication-efficiency metrics;
 * the set of enabled processes is maintained across steps by an
   :class:`~repro.core.engine.EnabledSetEngine` (incremental dirty-set
-  updates by default, with a full-scan fallback and a self-auditing
+  updates by default, with a full-scan reference and a self-auditing
   debug mode), which powers :meth:`Simulator.enabled_processes` and the
   enabled-drawing daemons.
 
@@ -93,14 +93,12 @@ class Simulator:
         self-stabilization starting point.  A private copy is taken in
         the requested ``state`` backend either way.
     engine:
-        Enabled-set maintenance strategy: ``"incremental"`` (default),
-        ``"scan"``, ``"debug"``, or a ready
+        Enabled-set maintenance strategy: a name from
+        :data:`~repro.core.engine.ENGINES` (``"incremental"`` by
+        default, ``"scan"``, ``"debug"``, ``"batch"``, …) or a ready
         :class:`~repro.core.engine.EnabledSetEngine` instance.  Every
         engine yields step-for-step identical executions; they differ
         only in how much work keeping the enabled set current costs.
-    full_scan:
-        Convenience fallback: ``full_scan=True`` forces the ``"scan"``
-        engine regardless of ``engine``.
     metrics:
         Metrics tier (:data:`~repro.core.metrics.METRICS_TIERS`):
         ``"full"`` (default) returns one
@@ -144,7 +142,6 @@ class Simulator:
         seed: Optional[int] = None,
         config: Optional[Configuration] = None,
         engine: Union[str, EnabledSetEngine] = "incremental",
-        full_scan: bool = False,
         metrics: str = "full",
         state: str = "flat",
         keep_records: int = 0,
@@ -195,7 +192,7 @@ class Simulator:
             self._processes, keep_records=keep_records
         )
         self.step_index = 0
-        self.engine = make_engine("scan" if full_scan else engine)
+        self.engine = make_engine(engine)
         self.engine.bind(protocol, network, self.config, self.specs_of)
         # Batch-capable engines accumulate aggregate counts in vectors;
         # the ``metrics`` property drains them before any external read.
@@ -444,7 +441,7 @@ class Simulator:
             if self._sched_distinct or len(set(selected)) == len(selected):
                 return self._batch_step(batch, selected, runtime)
             # Scalar divert (duplicate pids): pooled contexts cache raw
-            # row references, bypassing the resident config hook — the
+            # row references, bypassing the config sync hook — the
             # columns must be decoded before any context reads them.
             batch.materialize_rows()
 
@@ -572,14 +569,13 @@ class Simulator:
 
         The fused driver covers scenario-free synchronous-daemon runs
         (plain or ``enabled_only``) below the ``full`` metrics tier on
-        a column-resident engine; anything else — per-step records,
+        an active batch engine; anything else — per-step records,
         scenario hooks, exotic daemons — keeps the per-step loop, which
-        handles resident stores via the materialization hook.
+        reaches the rows through the materialization hook.
         """
         batch = self._batch
         if (
             batch is not None
-            and batch.resident
             and self.scenario_runtime is None
             and self.metrics_tier != "full"
             and type(self.scheduler) is SynchronousScheduler
@@ -593,7 +589,7 @@ class Simulator:
         stop_on_silence: bool = False,
         max_rounds: Optional[int] = None,
     ):
-        """Drive the fused column-resident loop explicitly.
+        """Drive the fused columnar loop explicitly.
 
         Requires an eligible run (see :meth:`run_steps` for the
         delegation rules); returns ``(steps_executed, silent)`` from
@@ -602,9 +598,9 @@ class Simulator:
         engine = self._fused_resident()
         if engine is None:
             raise ConvergenceError(
-                "run_resident() requires an active batch-resident engine "
-                "on a scenario-free synchronous-daemon run below the "
-                "'full' metrics tier"
+                "run_resident() requires an active batch engine ('batch', "
+                "alias 'batch-resident') on a scenario-free "
+                "synchronous-daemon run below the 'full' metrics tier"
             )
         return engine.run_steps(
             self,

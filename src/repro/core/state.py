@@ -239,7 +239,7 @@ class Configuration(BaseConfiguration):
     def install_sync(self, hook) -> None:
         """Register ``hook`` to run before any row observation.
 
-        Column-resident engines keep pending writes in columns; the hook
+        The batch engine keeps pending writes in columns; the hook
         materializes them into the rows so stray scalar reads (traces,
         predicates, faults, direct ``config.get``) never see stale
         state.  ``None`` uninstalls."""

@@ -155,7 +155,7 @@ class ColoringBatchKernel(BatchKernel):
             writes.append((self._c, rec_idx, new_c))
         return writes, comm
 
-    # -- resident-mode extensions ---------------------------------------
+    # -- fused-driver extensions ----------------------------------------
     def plan_writes_resident(self, codes, aux, rng):
         """Whole-network resident step: ``cur`` rotates as one column
         replacement; only clashing processes pay a sparse write (palette

@@ -11,20 +11,26 @@ from repro.api import (
     ExperimentSpec,
     Registry,
     engine_registry,
+    execute_trial,
     load_campaign_results,
     protocol_registry,
+    register_engine,
     scheduler_registry,
     topology_registry,
 )
 from repro.core import (
     ENGINE_NAMES,
+    ENGINES,
     EnabledSetEngine,
+    ScanEngine,
     Scheduler,
     Simulator,
+    SynchronousScheduler,
+    make_engine,
     make_scheduler,
 )
 from repro.core.scheduler import DEFAULT_SCHEDULERS, RoundRobinScheduler
-from repro.experiments import TrialResult, run_trial
+from repro.experiments import TrialResult
 from repro.graphs import ring
 from repro.protocols import ColoringProtocol
 
@@ -123,7 +129,28 @@ class TestRegistryCompleteness:
         for name in engine_registry:
             engine = engine_registry.build(name)
             assert isinstance(engine, EnabledSetEngine)
-            assert engine.name == name
+            # an alias ("batch-resident") builds its canonical engine
+            assert type(engine_registry.build(engine.name)) is type(engine)
+
+    def test_registered_engine_reaches_both_entry_points(self):
+        # register_engine, make_engine and the spec layer share the core
+        # engine table: a throwaway engine is buildable everywhere, and
+        # removing it from that table removes it everywhere.
+        register_engine("throwaway-scan", ScanEngine)
+        try:
+            assert "throwaway-scan" in ENGINE_NAMES
+            net = ring(6)
+            sim = Simulator(ColoringProtocol.for_network(net), net,
+                            engine="throwaway-scan")
+            assert isinstance(sim.engine, ScanEngine)
+            spec = ExperimentSpec(protocol="coloring", topology="ring",
+                                  topology_params={"n": 6}, seed=2)
+            assert spec.variant(engine="throwaway-scan").run() == spec.run()
+        finally:
+            del ENGINES["throwaway-scan"]
+        assert "throwaway-scan" not in engine_registry
+        with pytest.raises(ValueError, match="unknown engine"):
+            make_engine("throwaway-scan")
 
     def test_enabled_only_daemons_build_from_params(self):
         net = ring(5)
@@ -175,14 +202,15 @@ class TestExperimentSpec:
         assert spec.scheduler_params == {"sequence": [[0, 1], [2]]}
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
-    def test_run_matches_legacy_run_trial(self):
+    def test_run_matches_imperative_execute_trial(self):
         net = ring(8)
-        legacy = run_trial(ColoringProtocol.for_network(net), net, seed=5)
+        imperative = execute_trial(ColoringProtocol.for_network(net), net,
+                                   SynchronousScheduler(), seed=5)
         declarative = ExperimentSpec(
             protocol="coloring", topology="ring",
             topology_params={"n": 8}, seed=5,
         ).run()
-        assert declarative == legacy
+        assert declarative == imperative
 
     def test_build_simulator_uses_spec_scheduler(self):
         sim = ExperimentSpec(
@@ -386,8 +414,8 @@ class TestSchedulerStateIsolation:
         scheduler = RoundRobinScheduler()
         net = ring(6)
         proto = ColoringProtocol.for_network(net)
-        a = run_trial(proto, net, scheduler=scheduler, seed=3)
-        b = run_trial(proto, net, scheduler=scheduler, seed=3)
+        a = execute_trial(proto, net, scheduler, seed=3)
+        b = execute_trial(proto, net, scheduler, seed=3)
         assert a == b
 
 

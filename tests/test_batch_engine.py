@@ -1,13 +1,14 @@
 """Batch (columnar) engine: byte-identity with the scalar step loop.
 
-The batch engine evaluates guards over whole columns and writes γi+1
-back through the shared :class:`~repro.core.state.Configuration`, so it
-must be *observationally invisible*: byte-identical JSONL traces, equal
-final configurations, equal metrics (both tiers), and equal per-step
-enabled sets — including under scenario churn that rebuilds the column
-store mid-run.  The suite also pins the fallback ladder (kernel-less
-protocols, legacy state, duplicate-pid selections, NumPy absent) and
-the self-auditing ``batch-debug`` engine.
+The batch engine evaluates guards over whole columns and keeps γi+1 in
+them, decoding into the shared :class:`~repro.core.state.Configuration`
+whenever something observes it, so it must be *observationally
+invisible*: byte-identical JSONL traces, equal final configurations,
+equal metrics (both tiers), and equal per-step enabled sets — including
+under scenario churn that rebuilds the column store mid-run.  The
+suite also pins the fallback ladder (kernel-less protocols, legacy
+state, duplicate-pid selections, NumPy absent) and the self-auditing
+``batch-debug`` engine.
 """
 
 import sys
@@ -27,9 +28,11 @@ from repro.core import (
     TraceRecorder,
 )
 from repro.core.actions import GuardedAction
+from repro.core.batchengine import BATCH_KERNELS
 from repro.core.protocol import Protocol
 from repro.core.scheduler import FixedSequenceScheduler
 from repro.core.variables import BOOL, comm
+from repro.protocols import ColoringProtocol
 from repro.scenarios import build_scenario
 
 PROTOCOLS = ("coloring", "mis", "matching")
@@ -264,3 +267,39 @@ class TestBatchCrossCheck:
                 sim.engine.note_step([], [])
                 sim.enabled_processes()
             pytest.skip("no divergence found (all flips status-neutral)")
+
+    @pytest.mark.parametrize("block_numpy", [False, True],
+                             ids=["numpy", "python"])
+    def test_audit_is_never_bypassed(self, monkeypatch, block_numpy):
+        """A kernel that misclassifies one process is caught on the run
+        that can fuse: synchronous daemon, aggregate tier."""
+        if block_numpy:
+            monkeypatch.setitem(sys.modules, "numpy", None)
+        else:
+            pytest.importorskip("numpy")
+        kernel_cls = BATCH_KERNELS[ColoringProtocol]
+        classify = kernel_cls.classify
+
+        def flip_one(self, idx):
+            codes, ports, bits, aux = classify(self, idx)
+            flipped = self.store.ops.tolist(codes)
+            flipped[0] = -1 if flipped[0] >= 0 else 0
+            return self.store.ops.int_col(flipped), ports, bits, aux
+
+        monkeypatch.setattr(kernel_cls, "classify", flip_one)
+        sim = build_sim("coloring", seed=3, engine="batch-debug",
+                        metrics="aggregate")
+        assert sim.engine.backend_name == (
+            "python" if block_numpy else "numpy")
+        with pytest.raises(ModelError, match="diverged"):
+            sim.run_until_silent(max_rounds=50)
+
+    def test_fused_silence_verdicts_are_audited(self, monkeypatch):
+        """A columnar silence check that disagrees with the exact one
+        is caught too: the fused driver decides silence through it."""
+        kernel_cls = BATCH_KERNELS[ColoringProtocol]
+        monkeypatch.setattr(kernel_cls, "silent_cols", lambda self: True)
+        sim = build_sim("coloring", seed=3, engine="batch-debug",
+                        metrics="aggregate")
+        with pytest.raises(ModelError, match="silence verdict"):
+            sim.run_until_silent(max_rounds=50)

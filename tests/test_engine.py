@@ -23,6 +23,7 @@ from repro.core import (
     make_engine,
 )
 from repro.core.actions import GuardedAction, first_enabled
+from repro.core.batchengine import BatchEngine
 from repro.core.context import StepContext
 from repro.core.engine import ENGINE_NAMES, CrossCheckEngine, IncrementalEngine, ScanEngine
 from repro.core.protocol import Protocol
@@ -108,12 +109,6 @@ class TestTraceEquivalence:
                 assert traces[i] == traces[0], label
                 assert finals[i] == finals[0], label
                 assert metrics[i] == metrics[0], label
-
-    def test_full_scan_flag_forces_scan_engine(self):
-        net = ring(6)
-        sim = Simulator(ColoringProtocol.for_network(net), net, seed=0,
-                        full_scan=True)
-        assert isinstance(sim.engine, ScanEngine)
 
     def test_default_engine_is_incremental(self):
         net = ring(6)
@@ -325,8 +320,14 @@ class TestReadDeclarations:
 
 class TestMakeEngine:
     def test_names_round_trip(self):
+        # an alias builds its canonical engine, whose name round-trips
         for name in ENGINE_NAMES:
-            assert make_engine(name).name == name
+            engine = make_engine(name)
+            assert type(make_engine(engine.name)) is type(engine)
+
+    def test_batch_resident_is_an_alias_of_batch(self):
+        assert type(make_engine("batch-resident")) is BatchEngine
+        assert type(make_engine("batch")) is BatchEngine
 
     def test_instance_passthrough(self):
         engine = ScanEngine()

@@ -1,6 +1,7 @@
 """Column-resident execution: byte-identity at observation boundaries.
 
-The ``batch-resident`` engine keeps writes columnar across steps —
+The batch engine (``"batch"``, alias ``"batch-resident"``) keeps
+writes columnar across steps —
 rows decode only when something observes them (a trace record, a
 direct configuration read, a metrics flush, a scenario effect, a
 silence witness).  Observational invisibility is therefore the whole
@@ -23,7 +24,6 @@ from repro.api import (
 )
 from repro.core import (
     ModelError,
-    ResidentBatchEngine,
     Simulator,
     TraceRecorder,
 )
@@ -96,7 +96,7 @@ class TestResidentTraceByteIdentity:
                 protocol, (scheduler, sched_params), seed, "batch-resident"
             )
             label = (protocol, scheduler, sched_params, seed)
-            assert isinstance(resident_sim.engine, ResidentBatchEngine)
+            assert isinstance(resident_sim.engine, BatchEngine)
             assert resident_sim.engine.batch_active, label
             assert scalar == resident, label
             assert scalar_sim.config == resident_sim.config, label
@@ -139,7 +139,9 @@ class TestFusedDriver:
             label = (protocol, scheduler, sched_params, seed)
             assert aggregate_state(scalar) == aggregate_state(resident), label
 
-    def test_run_steps_actually_fuses(self, monkeypatch):
+    @pytest.mark.parametrize("engine",
+                             ["batch", "batch-resident", "batch-debug"])
+    def test_run_steps_actually_fuses(self, monkeypatch, engine):
         calls = []
         fused = BatchEngine.run_steps
 
@@ -148,8 +150,7 @@ class TestFusedDriver:
             return fused(self, *args, **kwargs)
 
         monkeypatch.setattr(BatchEngine, "run_steps", spy)
-        sim = build_sim("coloring", engine="batch-resident",
-                        metrics="aggregate")
+        sim = build_sim("coloring", engine=engine, metrics="aggregate")
         sim.run_steps(25)
         assert calls == [25]
         assert sim.step_index == 25
@@ -277,6 +278,24 @@ class TestObservationBoundaries:
         assert (sims[0].metrics.faults_injected
                 == sims[1].metrics.faults_injected)
 
+    @pytest.mark.parametrize("processes", [None, "first"])
+    def test_invalidate_after_columnar_steps(self, processes):
+        """Distrusting rows while the columns are ahead decodes the
+        columns first, so the re-read loses no step."""
+        resident = build_sim("coloring", seed=7, engine="batch",
+                             metrics="aggregate")
+        oracle = build_sim("coloring", seed=7, metrics="aggregate")
+        resident.run_resident(steps=6)
+        oracle.run_steps(6)
+        assert resident.engine._store.dirty
+        touched = (None if processes is None
+                   else [resident.network.processes[0]])
+        resident.invalidate_enabled(touched)
+        assert resident.enabled_processes() == oracle.enabled_processes()
+        resident.run_resident(steps=6)
+        oracle.run_steps(6)
+        assert resident.config.as_dict() == oracle.config.as_dict()
+
     def test_copy_is_a_detached_materialized_snapshot(self):
         resident = build_sim("coloring", seed=3, engine="batch-resident",
                              metrics="aggregate")
@@ -318,15 +337,6 @@ class TestDirtyEpochProtocol:
         store.materialize()
         assert not store.dirty
         store.pull_all()  # clean store pulls freely again
-
-    def test_write_col_requires_resident_mode(self):
-        sim = build_sim("coloring", seed=1, engine="batch",
-                        metrics="aggregate")
-        sim.run_steps(3)
-        store = sim.engine._store
-        cur_slot = store.slot("cur")
-        with pytest.raises(ModelError, match="resident"):
-            store.write_col(cur_slot, store.col(cur_slot))
 
     def test_materialize_is_idempotent(self):
         _sim, store = self.fused_store()
@@ -424,7 +434,7 @@ class TestEligibility:
         net = topology_registry.build("ring", n=6)
         sim = Simulator(OneShot(), net, seed=0, engine="batch-resident",
                         metrics="aggregate")
-        assert isinstance(sim.engine, ResidentBatchEngine)
+        assert isinstance(sim.engine, BatchEngine)
         assert not sim.engine.batch_active
         with pytest.raises(ConvergenceError):
             sim.run_resident(steps=1)
