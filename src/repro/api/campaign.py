@@ -124,8 +124,8 @@ class Campaign:
 
         ``engine`` and ``metrics`` apply to every spec in the grid
         (run-time strategies, not experiment axes — all engines produce
-        identical results, and the ``aggregate`` tier reports the same
-        final measures as ``full`` at a fraction of the step cost).
+        identical results, and the ``full`` and ``aggregate`` tiers fold
+        the same measures the same way).
         ``scenario``/``scenario_params`` attach one named fault/churn
         scenario to every spec; sweep scenario parameters by
         concatenating grids (see ``examples/scenario_churn.py``).

@@ -53,12 +53,14 @@ class ExperimentSpec:
     #: "debug" | "batch" | "batch-debug"; "batch-resident" is an alias
     #: of "batch"); every engine produces identical executions — "batch"
     #: keeps state columnar across steps, fuses synchronous-daemon runs
-    #: below the "full" tier, and decodes rows only at observation
+    #: on every metrics tier, and decodes rows only at observation
     #: boundaries.
     engine: str = "incremental"
-    #: metrics tier ("full" | "aggregate" | "off"): "aggregate" streams
-    #: the paper's measures without per-step records (identical final
-    #: measures, much cheaper); "off" disables collection entirely.
+    #: metrics tier ("full" | "aggregate" | "off"): "full" and
+    #: "aggregate" fold the paper's measures identically, and a trial
+    #: builds no per-step record on either; "full" only makes a direct
+    #: ``Simulator.step()`` return a StepRecord.  "off" disables
+    #: collection entirely.
     metrics: str = "full"
     #: scenario name from the scenario registry (None = scenario-free
     #: run).  A scenario is an experiment axis: it changes results, so
@@ -258,9 +260,10 @@ def execute_trial(protocol, network, scheduler, seed: int = 0,
     selects the enabled-set maintenance strategy (name or instance);
     results are engine-independent by the equivalence contract.
     ``metrics`` selects the collection tier — ``full`` and
-    ``aggregate`` produce identical :class:`TrialResult` rows (the
-    aggregate tier skips per-step record construction); ``off`` zeroes
-    the communication measures and is meant for pure-throughput runs.
+    ``aggregate`` fold the same measures and produce identical
+    :class:`TrialResult` rows (a trial builds no per-step record on
+    either); ``off`` zeroes the communication measures and is meant for
+    pure-throughput runs.
     ``scenario`` (a :class:`~repro.scenarios.Scenario`) scripts faults,
     churn, and daemon swaps into the run — see :func:`drive_simulator`
     for the run policy — with ``protocol_factory`` supplying the

@@ -811,9 +811,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "debug mode, or columnar batch; batch-resident "
                           "is an alias of batch)")
     run.add_argument("--metrics", default="full", choices=METRICS_TIERS,
-                     help="metrics tier: full per-step records, "
-                          "streamed aggregates (identical measures, "
-                          "faster), or off (throughput only — the "
+                     help="metrics tier: full or aggregate (the same "
+                          "measures, folded once per step; full only "
+                          "adds per-step records to direct step() "
+                          "calls), or off (throughput only — the "
                           "communication measures print as 0)")
     run.add_argument("--scenario", default=None,
                      help="fault/churn scenario, name:key=value,... "
@@ -868,8 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--metrics", default=None, choices=METRICS_TIERS,
                        help="metrics tier applied to every spec (with "
                             "--from-json: overrides the loaded specs' "
-                            "tiers); aggregate keeps results identical "
-                            "to full at a fraction of the step cost")
+                            "tiers); full and aggregate give identical "
+                            "results at the same cost, off zeroes the "
+                            "communication measures")
         p.add_argument("--scenario", default=None,
                        help="fault/churn scenario applied to every spec, "
                             "name:key=value,... (with --from-json: "

@@ -18,15 +18,17 @@ through :meth:`execute_step`, which
    :class:`BatchKernel` (action code, port read, bits charged — the
    exact short-circuit semantics of the scalar guards),
 3. writes the chosen actions into the columns, and
-4. hands the simulator everything needed to reproduce the scalar
-   engine's metrics byte for byte under both the ``full`` and
-   ``aggregate`` tiers.
+4. hands the simulator an outcome that :meth:`BatchEngine.fold_aggregate`
+   folds into the metrics exactly as the scalar loop's fold would (and
+   that :meth:`BatchEngine.make_step_record` turns into the scalar
+   loop's :class:`~repro.core.metrics.StepRecord` when ``step()`` must
+   return one).
 
-On eligible runs (synchronous or maximal daemon, no scenario, below the
-``full`` tier) the simulator hands whole step sequences to the fused
+On eligible runs (synchronous or maximal daemon, no scenario, any
+metrics tier) the simulator hands whole step sequences to the fused
 :meth:`BatchEngine.run_steps` driver — selection, classification,
-writes, round tracking, silence checks, aggregate metrics folds —
-without returning to Python rows in between.
+writes, round tracking, silence checks, metrics folds — without
+returning to Python rows in between.
 
 Kernels are registered per *protocol class* with
 :func:`register_batch_kernel` next to the scalar implementations
@@ -377,8 +379,8 @@ class BatchEngine(EnabledSetEngine):
 
         Executes synchronous-daemon steps (the full network, or the
         enabled pool under ``enabled_only``) entirely in columnar space
-        — classification, writes, round accounting, aggregate metrics
-        folds and silence checks — returning to Python rows only at the
+        — classification, writes, round accounting, metrics folds and
+        silence checks — returning to Python rows only at the
         horizon (``max_steps``), at silence (``stop_on_silence``), or
         when the round budget runs out.  Byte-identical to driving
         :meth:`Simulator.step` in a loop: same RNG draw sequence, same
@@ -396,7 +398,7 @@ class BatchEngine(EnabledSetEngine):
         n = store.n
         numpy = store.backend == "numpy"
         rng = sim.rngs.protocol if sim.protocol.randomized else None
-        collector = sim._metrics if sim.metrics_tier == "aggregate" else None
+        collector = sim._metrics if sim.metrics_tier != "off" else None
         tracker = sim.round_tracker
         silent_cols = getattr(kernel, "silent_cols", None)
         resident_plan = getattr(kernel, "plan_writes_resident", None)
@@ -554,8 +556,8 @@ class BatchEngine(EnabledSetEngine):
         )
 
     def fold_aggregate(self, outcome: BatchOutcome, collector, closed: bool) -> None:
-        """Fold one batch step into the collector, reproducing
-        :meth:`MetricsCollector.record_lean` exactly.
+        """Fold one batch step into the collector (every measuring
+        tier), reproducing :meth:`MetricsCollector.record_lean` exactly.
 
         Per-process activation counts are accumulated in an engine-side
         vector and flushed into the collector's dict lazily (the

@@ -11,36 +11,36 @@ Implements the measurable side of the paper's Section 3:
   observed with ``R_p ≤ k`` for x processes over a suffix is evidence of
   ♦-(x, k)-stability.
 
-The simulator feeds the collector through one of three *metrics tiers*
-(:data:`METRICS_TIERS`, the ``metrics=`` knob on
-:class:`~repro.core.simulator.Simulator` and
-:class:`~repro.api.ExperimentSpec`):
+Every measuring step is folded once: the scalar loop folds straight off
+its pooled contexts (:meth:`MetricsCollector.record_lean`), the columnar
+path off the batch engine's columns
+(:meth:`BatchEngine.fold_aggregate
+<repro.core.batchengine.BatchEngine.fold_aggregate>`).
+:meth:`MetricsCollector.record` folds a :class:`StepRecord` the same way
+and is kept as the reference fold the differential tests check both
+against.  The *metrics tier* (:data:`METRICS_TIERS`, the ``metrics=``
+knob on :class:`~repro.core.simulator.Simulator` and
+:class:`~repro.api.ExperimentSpec`) picks what else happens:
 
-* ``"full"`` — one :class:`StepRecord` per step, exactly the historical
-  behavior; required by traces and the replay tests.
-* ``"aggregate"`` — the paper's measures are folded straight off the
-  step's pooled contexts (:meth:`MetricsCollector.record_lean`) without
-  materializing a ``StepRecord``; every aggregate reported by
-  :meth:`MetricsCollector.summary` and the suffix machinery is
-  identical to the ``full`` tier's, at a fraction of the per-step cost.
+* ``"full"`` — the public ``Simulator.step()`` also returns a
+  :class:`StepRecord`, built from the step it just folded; required by
+  traces.  The run drivers build no record.
+* ``"aggregate"`` — the same fold; ``step()`` returns a
+  :class:`LeanStepRecord`.
 * ``"off"`` — the collector is never touched; only
   ``Simulator.step_index`` and the round tracker advance.
 
-Memory contract: the collector itself is ``O(n + Σ|read sets|)`` —
-aggregates and per-process read sets, independent of run length.  Step
-records are **not retained** unless explicitly requested via
-``keep_records=N``, which keeps a bounded deque of the most recent N
-records (``MetricsCollector.records``); unbounded retention is
-deliberately impossible.  The collector can be "re-armed"
-(``start_suffix``) at the silence point so the suffix read-sets measure
-the stabilized phase exactly as the paper's ♦-notions require.
+Memory contract: the collector is ``O(n + Σ|read sets|)`` — aggregates
+and per-process read sets, independent of run length; it retains no
+step record.  The collector can be "re-armed" (``start_suffix``) at the
+silence point so the suffix read-sets measure the stabilized phase
+exactly as the paper's ♦-notions require.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, FrozenSet, Hashable, List, Optional, Set
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set
 
 ProcessId = Hashable
 
@@ -66,12 +66,11 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class LeanStepRecord:
-    """Skeletal step result returned under the non-``full`` tiers.
+    """Skeletal result of ``Simulator.step()`` below the ``full`` tier.
 
-    Carries just enough for the run loops (``closed_round`` drives
-    ``run_until_silent``); per-process read sets and rule names are
-    folded into the collector (``aggregate``) or dropped (``off``)
-    without ever being materialized.
+    Per-process read sets and rule names are folded into the collector
+    (``aggregate``) or dropped (``off``) without ever being
+    materialized.
     """
 
     index: int
@@ -80,20 +79,15 @@ class LeanStepRecord:
 
 
 class MetricsCollector:
-    """Aggregates step records into the paper's communication measures.
+    """Aggregates steps into the paper's communication measures.
 
     Parameters
     ----------
     processes:
         The network's process list (aggregates are keyed per process).
-    keep_records:
-        Optional bounded retention: keep the most recent ``N`` full
-        :class:`StepRecord` objects in :attr:`records` for debugging.
-        The default ``0`` retains nothing — the memory contract of the
-        collector is independent of run length.
     """
 
-    def __init__(self, processes: List[ProcessId], keep_records: int = 0):
+    def __init__(self, processes: List[ProcessId]):
         self._processes = list(processes)
         self.steps = 0
         self.rounds = 0
@@ -110,14 +104,6 @@ class MetricsCollector:
         #: accumulated neighbor-read sets since :meth:`start_suffix`
         self.suffix_read_sets: Optional[Dict[ProcessId, Set[int]]] = None
         self.suffix_start_step: Optional[int] = None
-        if keep_records < 0:
-            raise ValueError("keep_records must be >= 0")
-        self.keep_records = keep_records
-        #: bounded deque of the most recent records (None unless
-        #: ``keep_records > 0``; only the ``full`` tier feeds it)
-        self.records: Optional[Deque[StepRecord]] = (
-            deque(maxlen=keep_records) if keep_records else None
-        )
         # -- scenario measures (fed by fault injection / ScenarioRuntime;
         #    all stay zero on scenario-free runs, and the ``off`` tier
         #    never feeds them) ------------------------------------------
@@ -137,7 +123,13 @@ class MetricsCollector:
 
     # ------------------------------------------------------------------
     def record(self, record: StepRecord) -> None:
-        """Fold one step record into the aggregates (``full``-tier hook)."""
+        """Fold one step record into the aggregates.
+
+        The reference fold: the simulator folds through
+        :meth:`record_lean` (or the batch engine's ``fold_aggregate``),
+        and the differential tests feed the records ``Simulator.step()``
+        returns through this method to check those folds.
+        """
         self.steps += 1
         if record.closed_round:
             self.rounds += 1
@@ -155,21 +147,19 @@ class MetricsCollector:
             if bits > self.max_bits_in_step:
                 self.max_bits_in_step = bits
             self.total_bits += bits
-        if self.records is not None:
-            self.records.append(record)
 
     def record_lean(self, executions, closed_round: bool) -> None:
-        """Fold one step straight off the step contexts (``aggregate``).
+        """Fold one step straight off the step contexts.
 
         ``executions`` is the simulator's ``(pid, ctx, action)`` list
         for the step; the fold reads each context's ``ports_read`` /
         ``bits_read`` in place and produces aggregates identical to
         feeding :meth:`record` the equivalent :class:`StepRecord` —
-        the metrics-tier property tests pin that equivalence — without
-        ever building the record's frozensets and dicts.  A process
+        the differential tests pin that equivalence — without ever
+        building the record's frozensets and dicts.  A process
         appearing twice in one selection (a scripted
         ``FixedSequenceScheduler`` step can repeat pids) is folded
-        once, matching the ``full`` tier's frozenset/dict dedup.
+        once, matching the record's frozenset/dict dedup.
         """
         self.steps += 1
         if closed_round:

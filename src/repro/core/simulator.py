@@ -21,10 +21,11 @@ Hot-path design (flat-state step loop): the default ``state="flat"``
 backend addresses process state as ``row[slot]`` through the indexed
 :class:`~repro.core.state.Configuration`, reuses one pooled
 :class:`~repro.core.context.StepContext` per process per run instead of
-allocating one per activation, and — under ``metrics="aggregate"`` —
-folds the paper's measures straight off the contexts without
-materializing per-step :class:`~repro.core.metrics.StepRecord` objects.
-``state="legacy"`` + ``metrics="full"`` reproduces the historical
+allocating one per activation, and folds the paper's measures straight
+off the contexts (or the batch engine's columns) with one fold per step.
+A :class:`~repro.core.metrics.StepRecord` is built only when the public
+:meth:`Simulator.step` is asked for one (``metrics="full"``); the run
+drivers never build one.  ``state="legacy"`` reproduces the historical
 dict-of-dicts loop step for step; the flat-vs-legacy equivalence tests
 require byte-identical traces between the two.
 """
@@ -101,12 +102,12 @@ class Simulator:
         only in how much work keeping the enabled set current costs.
     metrics:
         Metrics tier (:data:`~repro.core.metrics.METRICS_TIERS`):
-        ``"full"`` (default) returns one
-        :class:`~repro.core.metrics.StepRecord` per step exactly as
-        before; ``"aggregate"`` streams the paper's measures into the
-        collector without building records (identical final measures,
-        much cheaper — :meth:`step` then returns a
-        :class:`~repro.core.metrics.LeanStepRecord`); ``"off"`` skips
+        ``"full"`` (default) and ``"aggregate"`` fold the paper's
+        measures into the collector the same way, once per step;
+        ``"full"`` additionally makes :meth:`step` return a
+        :class:`~repro.core.metrics.StepRecord` (a
+        :class:`~repro.core.metrics.LeanStepRecord` otherwise).  The
+        run drivers build no record on either tier.  ``"off"`` skips
         the collector entirely.  Traces require ``"full"``.
     state:
         Configuration backend (:data:`STATE_BACKENDS`): ``"flat"``
@@ -114,10 +115,6 @@ class Simulator:
         contexts; ``"legacy"`` runs the historical dict-of-dicts path
         with per-activation context allocation — the reference both for
         the equivalence tests and the performance benchmarks' baseline.
-    keep_records:
-        Bounded :class:`~repro.core.metrics.StepRecord` retention under
-        the ``full`` tier (most recent N on ``metrics.records``);
-        ``0`` (default) retains nothing.
     scenario:
         Optional scenario script (any object exposing ``bind(sim)``
         returning a runtime with ``before_step``/``after_step`` hooks —
@@ -144,7 +141,6 @@ class Simulator:
         engine: Union[str, EnabledSetEngine] = "incremental",
         metrics: str = "full",
         state: str = "flat",
-        keep_records: int = 0,
         scenario=None,
         protocol_factory: Optional[Callable] = None,
     ):
@@ -188,9 +184,7 @@ class Simulator:
         # builds a fresh list per call, far too expensive per step.
         self._processes = tuple(network.processes)
         self.round_tracker = RoundTracker(self._processes)
-        self._metrics = MetricsCollector(
-            self._processes, keep_records=keep_records
-        )
+        self._metrics = MetricsCollector(self._processes)
         self.step_index = 0
         self.engine = make_engine(engine)
         self.engine.bind(protocol, network, self.config, self.specs_of)
@@ -407,7 +401,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def step(self) -> Union[StepRecord, LeanStepRecord]:
+    def step(
+        self, *, _record: bool = True
+    ) -> Union[StepRecord, LeanStepRecord]:
         """Execute one step and return its record.
 
         The scheduler draws from all processes, or — for daemons with
@@ -418,7 +414,11 @@ class Simulator:
 
         Returns a full :class:`~repro.core.metrics.StepRecord` under
         ``metrics="full"`` and a lean
-        :class:`~repro.core.metrics.LeanStepRecord` otherwise.
+        :class:`~repro.core.metrics.LeanStepRecord` otherwise.  The
+        record is built from the step's executions after the metrics
+        fold, never folded itself.  The run drivers pass
+        ``_record=False`` and get back only whether the step closed a
+        round, so they build no record on any tier.
 
         Scenario hook point: an installed scenario runtime sees the
         step boundary *before* the selection (events mutate γ, the
@@ -436,10 +436,14 @@ class Simulator:
         if not selected:
             raise ConvergenceError("scheduler selected an empty set")
 
+        action_rng = self.rngs.protocol if self.protocol.randomized else None
         batch = self._batch
         if batch is not None:
             if self._sched_distinct or len(set(selected)) == len(selected):
-                return self._batch_step(batch, selected, runtime)
+                # One whole step over columns: the same γi+1 and the
+                # same folds as the scalar loop, without contexts.
+                outcome = batch.execute_step(selected, action_rng)
+                return self._finish_step(selected, None, outcome, _record)
             # Scalar divert (duplicate pids): pooled contexts cache raw
             # row references, bypassing the config sync hook — the
             # columns must be decoded before any context reads them.
@@ -448,7 +452,6 @@ class Simulator:
         executions = []
         append = executions.append
         actions = self._actions
-        action_rng = self.rngs.protocol if self.protocol.randomized else None
         ctx_pool = self._ctx_pool
         if ctx_pool is not None:
             # Inlined StepContextPool.acquire / StepContext.reset: two
@@ -489,7 +492,18 @@ class Simulator:
             if ctx.flush_writes():
                 comm_changed.append(p)
         self.engine.note_step(selected, comm_changed)
+        return self._finish_step(selected, executions, None, _record)
 
+    def _finish_step(self, selected, executions, outcome, want_record):
+        """The bookkeeping after one step, shared by the scalar loop
+        (``executions``: its ``(pid, ctx, action)`` list) and the
+        columnar path (``outcome``: a ``BatchOutcome``): round tracking,
+        the step index, telemetry, the tier's one metrics fold, the
+        record, and the scenario's ``after_step`` hook.
+
+        Returns the step's record when ``want_record``, else whether
+        the step closed a round.
+        """
         if self._enabled_pool:
             closed = self.round_tracker.record_step(
                 selected, still_enabled=self.engine.enabled_view()
@@ -503,7 +517,18 @@ class Simulator:
             self._obs_steps.inc()
             self._obs_activations.inc(len(selected))
         tier = self.metrics_tier
-        if tier == "full":
+        if tier != "off":
+            if outcome is None:
+                self._metrics.record_lean(executions, closed)
+            else:
+                self._batch.fold_aggregate(outcome, self._metrics, closed)
+        if not want_record:
+            record = closed
+        elif tier != "full":
+            record = LeanStepRecord(index, len(selected), closed)
+        elif outcome is not None:
+            record = self._batch.make_step_record(index, outcome, closed)
+        else:
             record = StepRecord(
                 index=index,
                 activated=frozenset(selected),
@@ -517,67 +542,24 @@ class Simulator:
                 bits_read={p: ctx.bits_read for p, ctx, _ in executions},
                 closed_round=closed,
             )
-            self._metrics.record(record)
-            if runtime is not None:
-                runtime.after_step(self, closed)
-            return record
-        if tier == "aggregate":
-            self._metrics.record_lean(executions, closed)
+        runtime = self.scenario_runtime
         if runtime is not None:
             runtime.after_step(self, closed)
-        return LeanStepRecord(index, len(selected), closed)
-
-    def _batch_step(self, engine, selected, runtime):
-        """One whole step evaluated over columns.
-
-        Reached only when the bound engine reports ``batch_active`` and
-        the selection is duplicate-free (scripted daemons may repeat a
-        pid; such steps take the scalar loop instead).  Produces the
-        same γi+1, the same records, and the same metrics folds as the
-        scalar path — bit for bit — just without per-process contexts.
-        """
-        action_rng = self.rngs.protocol if self.protocol.randomized else None
-        outcome = engine.execute_step(selected, action_rng)
-
-        if self._enabled_pool:
-            closed = self.round_tracker.record_step(
-                selected, still_enabled=engine.enabled_view()
-            )
-        else:
-            closed = self.round_tracker.record_step(selected)
-
-        index = self.step_index
-        self.step_index = index + 1
-        if self._obs.enabled:
-            self._obs_steps.inc()
-            self._obs_activations.inc(len(selected))
-        tier = self.metrics_tier
-        if tier == "full":
-            record = engine.make_step_record(index, outcome, closed)
-            self._metrics.record(record)
-            if runtime is not None:
-                runtime.after_step(self, closed)
-            return record
-        if tier == "aggregate":
-            engine.fold_aggregate(outcome, self._metrics, closed)
-        if runtime is not None:
-            runtime.after_step(self, closed)
-        return LeanStepRecord(index, len(selected), closed)
+        return record
 
     def _fused_resident(self):
         """The engine to hand a fused columnar run to, or None.
 
         The fused driver covers scenario-free synchronous-daemon runs
-        (plain or ``enabled_only``) below the ``full`` metrics tier on
-        an active batch engine; anything else — per-step records,
-        scenario hooks, exotic daemons — keeps the per-step loop, which
-        reaches the rows through the materialization hook.
+        (plain or ``enabled_only``) on an active batch engine, on every
+        metrics tier; anything else — scenario hooks, exotic daemons —
+        keeps the per-step loop, which reaches the rows through the
+        materialization hook.
         """
         batch = self._batch
         if (
             batch is not None
             and self.scenario_runtime is None
-            and self.metrics_tier != "full"
             and type(self.scheduler) is SynchronousScheduler
         ):
             return batch
@@ -600,7 +582,7 @@ class Simulator:
             raise ConvergenceError(
                 "run_resident() requires an active batch engine ('batch', "
                 "alias 'batch-resident') on a scenario-free "
-                "synchronous-daemon run below the 'full' metrics tier"
+                "synchronous-daemon run"
             )
         return engine.run_steps(
             self,
@@ -616,14 +598,14 @@ class Simulator:
             engine.run_steps(self, max_steps=count)
             return
         for _ in range(count):
-            self.step()
+            self.step(_record=False)
 
     def run_rounds(self, count: int) -> int:
         """Execute until ``count`` more rounds complete; returns steps used."""
         target = self.round_tracker.completed_rounds + count
         steps = 0
         while self.round_tracker.completed_rounds < target:
-            self.step()
+            self.step(_record=False)
             steps += 1
         return steps
 
@@ -717,8 +699,7 @@ class Simulator:
             start_round = self.round_tracker.completed_rounds
             while (self.round_tracker.completed_rounds - start_round
                    < max_rounds):
-                record = self.step()
-                if record.closed_round and self.is_silent():
+                if self.step(_record=False) and self.is_silent():
                     return self._report(silent=True)
         raise ConvergenceError(
             f"{self.protocol.name} not silent after {max_rounds} rounds "
@@ -731,7 +712,7 @@ class Simulator:
             return self._report(silent=None)
         start_round = self.round_tracker.completed_rounds
         while self.round_tracker.completed_rounds - start_round < max_rounds:
-            self.step()
+            self.step(_record=False)
             if self.is_legitimate():
                 return self._report(silent=None)
         raise ConvergenceError(
@@ -745,8 +726,15 @@ class Simulator:
         suffix — the raw material of the ♦-(x, k)-stability measurement.
         Call after reaching silence.  Works under the ``full`` and
         ``aggregate`` tiers (both fold suffix read-sets); under
-        ``metrics="off"`` nothing accumulates.
+        ``metrics="off"`` nothing accumulates, so it raises
+        :class:`ValueError` rather than report empty read sets.
         """
+        if self.metrics_tier == "off":
+            raise ValueError(
+                "measure_suffix_stability() needs the read sets that "
+                "metrics='off' never folds; use metrics='full' or "
+                "'aggregate'"
+            )
         self.metrics.start_suffix()
         self.run_rounds(extra_rounds)
         assert self.metrics.suffix_read_sets is not None

@@ -1,32 +1,39 @@
-"""Metrics tiers: aggregate ≡ full, off is inert, retention is bounded.
+"""Metrics tiers: one fold, step records on request, off is inert.
 
-The ``aggregate`` tier must stream exactly the measures the ``full``
-tier derives from per-step records — the property tests here compare
-every aggregate (totals, maxima, activation counts, whole-run and
-suffix read-sets) across coloring/MIS/matching × central/synchronous/
-random-subset × 5 seeds.  The remaining tests pin the tier plumbing:
-lean step records, the trace-recorder guard, spec/campaign/CLI wiring,
-and the collector's bounded-retention memory contract.
+Every measuring step folds once (``record_lean`` on the scalar loop,
+``BatchEngine.fold_aggregate`` on columns).  The differential tests
+here feed the records ``step()`` returns under ``full`` through the
+reference fold, ``MetricsCollector.record``, and require every
+aggregate (totals, maxima, activation counts, whole-run and suffix
+read-sets) to match the simulator's collector, across coloring/MIS/
+matching × central/synchronous/random-subset × 5 seeds, on the scalar
+and the batch engine, with and without NumPy.  The remaining tests pin
+the tier plumbing: lean step records, record-free run drivers, the
+suffix-stability guard, the trace-recorder guard, and spec/campaign
+wiring.
 """
+
+import sys
 
 import pytest
 
 from repro.api import (
     Campaign,
     ExperimentSpec,
-    execute_trial,
     protocol_registry,
     scheduler_registry,
     topology_registry,
 )
 from repro.core import (
     METRICS_TIERS,
+    FixedSequenceScheduler,
     LeanStepRecord,
     MetricsCollector,
     Simulator,
     StepRecord,
     TraceRecorder,
 )
+from repro.core.batchengine import BatchEngine
 from repro.graphs import ring
 
 PROTOCOLS = ("coloring", "mis", "matching")
@@ -34,15 +41,19 @@ SCHEDULERS = ("central", "synchronous", "random-subset")
 SEEDS = (0, 1, 2, 3, 4)
 
 
-def _build_sim(protocol, scheduler, seed, metrics, n=10):
+def _build_sim(protocol, scheduler, seed, metrics, n=10,
+               engine="incremental"):
     net = topology_registry.build("ring", n=n)
     proto = protocol_registry.build(protocol, net)
     sched = scheduler_registry.build(scheduler, net)
-    return Simulator(proto, net, scheduler=sched, seed=seed, metrics=metrics)
+    return Simulator(proto, net, scheduler=sched, seed=seed, metrics=metrics,
+                     engine=engine)
 
 
-def _observables(sim):
-    m = sim.metrics
+def _observables(source):
+    """The collector's observables (``source``: a Simulator or a
+    MetricsCollector)."""
+    m = getattr(source, "metrics", source)
     return {
         "summary": m.summary(),
         "activations": dict(m.activations),
@@ -56,63 +67,98 @@ def _observables(sim):
     }
 
 
-class TestAggregateEqualsFull:
+class TestReferenceFold:
+    """Both tiers fold through ``record_lean`` / ``fold_aggregate``;
+    ``MetricsCollector.record`` stays the reference.  Feeding it the
+    records ``step()`` returns under ``full`` must reproduce the
+    simulator's own collector exactly."""
+
+    ENGINES = ("incremental", "batch")
+
+    @pytest.fixture(params=["numpy", "python"])
+    def backend(self, request, monkeypatch):
+        if request.param == "numpy":
+            pytest.importorskip("numpy")
+        else:
+            monkeypatch.setitem(sys.modules, "numpy", None)
+        return request.param
+
+    @staticmethod
+    def _check(sim, first, second):
+        """Step ``first`` steps, arm the suffix, step ``second`` more;
+        compare the simulator's folds with the reference fold."""
+        reference = MetricsCollector(list(sim.network.processes))
+        for _ in range(first):
+            reference.record(sim.step())
+        # Arm the suffix mid-run so the ♦-stability read-sets are
+        # exercised on both folds.
+        reference.start_suffix()
+        sim.metrics.start_suffix()
+        for _ in range(second):
+            reference.record(sim.step())
+        assert _observables(sim) == _observables(reference)
+
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_identical_measures_across_seeds(self, protocol, scheduler):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_step_records_refold_to_the_collector(self, protocol, scheduler,
+                                                  engine, backend):
         for seed in SEEDS:
-            sims = {
-                tier: _build_sim(protocol, scheduler, seed, tier)
-                for tier in ("full", "aggregate")
-            }
-            for sim in sims.values():
-                sim.run_steps(12)
-                # Arm the suffix mid-run so the ♦-stability read-sets
-                # are exercised on both tiers.
-                sim.metrics.start_suffix()
-                sim.run_steps(12)
-            assert _observables(sims["full"]) == _observables(sims["aggregate"]), (
-                protocol, scheduler, seed
-            )
+            sim = _build_sim(protocol, scheduler, seed, "full", engine=engine)
+            if engine == "batch":
+                assert sim.engine.backend_name == backend
+            self._check(sim, 12, 12)
 
-    def test_identical_trial_results_to_silence(self):
-        for protocol in PROTOCOLS:
-            net = topology_registry.build("ring", n=10)
-            results = {}
-            for tier in ("full", "aggregate"):
-                results[tier] = execute_trial(
-                    protocol_registry.build(protocol, net),
-                    net,
-                    scheduler_registry.build("synchronous", net),
-                    seed=7,
-                    metrics=tier,
-                )
-            assert results["full"] == results["aggregate"], protocol
-
-    def test_duplicate_selection_folds_once(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_duplicate_selection_folds_once(self, engine, backend):
         # A scripted scheduler may repeat a pid within one step; the
-        # full tier dedups via frozenset/dict keys, and the lean fold
-        # must agree.
-        from repro.core import FixedSequenceScheduler
+        # record dedups via frozenset/dict keys, and the folds must
+        # agree with it.
+        net = topology_registry.build("ring", n=5)
+        proto = protocol_registry.build("mis", net)
+        sched = FixedSequenceScheduler([[0, 0], [1, 1, 2]])
+        sim = Simulator(proto, net, scheduler=sched, seed=2, metrics="full",
+                        engine=engine)
+        self._check(sim, 1, 1)
 
-        observables = {}
-        for tier in ("full", "aggregate"):
-            net = topology_registry.build("ring", n=5)
-            proto = protocol_registry.build("mis", net)
-            sched = FixedSequenceScheduler([[0, 0], [1, 1, 2]])
-            sim = Simulator(proto, net, scheduler=sched, seed=2, metrics=tier)
-            sim.run_steps(2)
-            observables[tier] = _observables(sim)
-        assert observables["full"] == observables["aggregate"]
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_drivers_build_no_record(self, engine, monkeypatch):
+        import repro.core.simulator as simulator_module
 
-    def test_suffix_stability_measure_matches(self):
-        for tier in ("full", "aggregate"):
-            sim = _build_sim("mis", "synchronous", 3, tier)
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run driver built a StepRecord")
+
+        monkeypatch.setattr(simulator_module, "StepRecord", refuse)
+        monkeypatch.setattr(BatchEngine, "make_step_record", refuse)
+        for scheduler in SCHEDULERS:
+            sim = _build_sim("mis", scheduler, 3, "full", engine=engine)
+            sim.run_steps(3)
+            sim.run_rounds(2)
+            sim.run_until_legitimate()
             sim.run_until_silent()
-            suffix = sim.measure_suffix_stability(extra_rounds=5)
-            if tier == "full":
-                reference = suffix
-        assert suffix == reference
+            sim.measure_suffix_stability(extra_rounds=2)
+            assert sim.metrics.steps == sim.step_index > 0
+
+
+class TestSuffixStability:
+    def test_measure_matches_across_tiers(self):
+        suffixes = {}
+        for tier in ("full", "aggregate"):
+            sim = _build_sim("mis", "synchronous", 3, tier, n=12)
+            sim.run_until_silent()
+            suffixes[tier] = sim.measure_suffix_stability(extra_rounds=5)
+        assert suffixes["full"] == suffixes["aggregate"]
+        # MIS on a silent ring: members read nothing, dominated
+        # processes keep reading their witnesses.
+        assert sum(len(s) <= 1 for s in suffixes["full"].values()) == 6
+
+    def test_off_tier_refuses_to_measure(self):
+        # Under ``off`` no read set is ever folded: reporting the empty
+        # sets would call every process ♦-1-stable.
+        sim = _build_sim("mis", "synchronous", 3, "off", n=12)
+        sim.run_until_silent()
+        with pytest.raises(ValueError, match="metrics='off'"):
+            sim.measure_suffix_stability(extra_rounds=5)
 
 
 class TestTierPlumbing:
@@ -161,27 +207,6 @@ class TestTierPlumbing:
         sim = _build_sim("coloring", "central", 1, "aggregate")
         with pytest.raises(ValueError, match="metrics='full'"):
             TraceRecorder(sim)
-
-
-class TestRetentionContract:
-    def test_no_retention_by_default(self):
-        sim = _build_sim("coloring", "central", 1, "full")
-        sim.run_steps(30)
-        assert sim.metrics.records is None
-
-    def test_bounded_retention_keeps_most_recent(self):
-        net = ring(8)
-        proto = protocol_registry.build("coloring", net)
-        sim = Simulator(proto, net, seed=1, keep_records=5)
-        sim.run_steps(30)
-        records = sim.metrics.records
-        assert records is not None
-        assert len(records) == 5  # bounded, never the whole run
-        assert [r.index for r in records] == list(range(25, 30))
-
-    def test_negative_retention_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsCollector([0, 1], keep_records=-1)
 
 
 class TestSpecAndCampaignWiring:

@@ -18,6 +18,7 @@ import sys
 import pytest
 
 from repro.api import (
+    ExperimentSpec,
     protocol_registry,
     scheduler_registry,
     topology_registry,
@@ -156,6 +157,26 @@ class TestFusedDriver:
         assert sim.step_index == 25
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_default_tier_spec_fuses(self, monkeypatch, protocol):
+        calls = []
+        fused = BatchEngine.run_steps
+
+        def spy(self, *args, **kwargs):
+            calls.append(kwargs.get("stop_on_silence"))
+            return fused(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchEngine, "run_steps", spy)
+        spec = ExperimentSpec(
+            protocol=protocol, topology=TOPOLOGY[0],
+            topology_params=TOPOLOGY[1], scheduler="synchronous", seed=4,
+            engine="batch",
+        )
+        assert spec.metrics == "full"
+        fused_result = spec.run()
+        assert calls == [True]
+        assert fused_result == spec.variant(engine="scan").run()
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("scheduler,sched_params", SCHEDULERS)
     def test_run_until_silent_reports_match(self, protocol, scheduler,
                                             sched_params):
@@ -242,8 +263,8 @@ class TestObservationBoundaries:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_metrics_full_tier_mid_run(self, protocol):
-        """Raising the observation level to per-step records keeps the
-        resident engine on the per-step path — and byte-identical."""
+        """Per-step records drive the resident engine step by step
+        through ``step()``, byte-identical to the scalar engine."""
         scalar, scalar_sim = run_recorded(
             protocol, ("synchronous", {}), 11, "incremental", steps=25,
             metrics="full",
@@ -252,7 +273,6 @@ class TestObservationBoundaries:
             protocol, ("synchronous", {}), 11, "batch-resident", steps=25,
             metrics="full",
         )
-        assert resident_sim._fused_resident() is None
         assert scalar == resident
         assert (scalar_sim.metrics.summary()
                 == resident_sim.metrics.summary())
@@ -387,10 +407,16 @@ class TestEligibility:
         with pytest.raises(ConvergenceError, match="batch-resident"):
             sim.run_resident(steps=1)
 
-    def test_run_resident_refuses_full_tier(self):
-        sim = build_sim("coloring", engine="batch-resident", metrics="full")
-        with pytest.raises(ConvergenceError, match="metrics tier"):
-            sim.run_resident(steps=1)
+    def test_run_resident_serves_the_full_tier(self):
+        sims = {}
+        for tier in ("full", "aggregate"):
+            sims[tier] = build_sim("coloring", seed=5, engine="batch-resident",
+                                   metrics=tier)
+            sims[tier].run_resident(steps=17)
+        full, aggregate = sims["full"], sims["aggregate"]
+        assert full.config == aggregate.config
+        assert full.metrics.summary() == aggregate.metrics.summary()
+        assert full.step_index == aggregate.step_index == 17
 
     def test_run_resident_refuses_exotic_daemons(self):
         sim = build_sim("coloring", ("central", {"enabled_only": True}),
