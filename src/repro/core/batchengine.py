@@ -147,9 +147,10 @@ class BatchKernel:
     #:
     #: ``silent_cols()`` — the silence verdict straight from the
     #: columns (must agree with the exact scalar
-    #: :func:`~repro.core.silence.is_silent` on every configuration);
-    #: the fused driver falls back to materialize + scalar check when
-    #: absent.
+    #: :func:`~repro.core.silence.is_silent` on every configuration).
+    #: All three paper kernels (COLORING, MIS, MATCHING) provide it;
+    #: for a kernel without one the fused driver falls back to
+    #: materialize + scalar check.
 
 
 class BatchOutcome:
@@ -405,11 +406,15 @@ class BatchEngine(EnabledSetEngine):
         plan = kernel.plan_writes
         audit = self._audit_step
 
+        silence_checks = 0  # columnar verdicts, reported on the span
+
         def silent_now() -> bool:
+            nonlocal silence_checks
             if silent_cols is None:
                 # No vectorized silence for this kernel: an observation
                 # boundary — the config sync hook materializes the rows.
                 return sim.is_silent()
+            silence_checks += 1
             verdict = silent_cols()
             self._audit_silence(sim, verdict)
             return verdict
@@ -524,7 +529,7 @@ class BatchEngine(EnabledSetEngine):
             TELEMETRY.record_span(
                 "engine.run_steps", perf_counter() - span_t0,
                 n=n, steps=steps, activations=activations,
-                silent=silent,
+                silent=silent, silence_checks=silence_checks,
             )
         return steps, silent
 

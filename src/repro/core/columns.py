@@ -279,6 +279,7 @@ class ColumnStore:
         "_dirty_slots",
         "_bits_raw",
         "_bits_cols",
+        "_port_mask",
     )
 
     def __init__(self, ops, pids, pindex, layout, rows, codecs, bits_raw,
@@ -296,6 +297,7 @@ class ColumnStore:
         self.nbr = nbr
         self.deg = deg
         self.max_degree = max_degree
+        self._port_mask = None
         self.all_idx = ops.arange(self.n)
         #: per-slot column generation stamp; advances on every write, so
         #: observers can tell whether a slot moved since they last
@@ -440,6 +442,16 @@ class ColumnStore:
     def col(self, slot: int):
         """The backend column (codes, one entry per process) for ``slot``."""
         return self.cols[slot]
+
+    def port_mask(self):
+        """NumPy ``(n, Δ)`` mask of the real ports in the padded ``nbr``
+        table; padding entries gather process 0 and must be masked out
+        of any whole-table reduction."""
+        if self._port_mask is None:
+            np = self.ops.np
+            self._port_mask = (np.arange(self.max_degree)[None, :]
+                               < self.deg[:, None])
+        return self._port_mask
 
     def encode(self, slot: int, value) -> int:
         """The column code of one row value (for kernel constants)."""

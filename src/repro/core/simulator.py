@@ -212,6 +212,7 @@ class Simulator:
         self._obs = TELEMETRY
         self._obs_steps = TELEMETRY.counter("sim.steps")
         self._obs_activations = TELEMETRY.counter("sim.activations")
+        self._obs_silence_checks = TELEMETRY.counter("silence.checks")
         self._protocol_factory = protocol_factory
         #: audit log of out-of-band fault writes (``FaultReport``-like
         #: objects appended by :meth:`note_fault`; the trace recorder
@@ -630,22 +631,30 @@ class Simulator:
         mutation path (steps, the fault injectors, churn rebinding)
         invalidates it; out-of-band writes that bypass the injectors
         must not be mixed with installed scenarios.
+
+        Every call counts toward the ``silence.checks`` telemetry
+        counter while telemetry is on.
         """
+        if self._obs.enabled:
+            self._obs_silence_checks.inc()
         runtime = self.scenario_runtime
         if runtime is None:
-            return is_silent(self.protocol, self.network, self.config)
+            return is_silent(self.protocol, self.network, self.config,
+                             self.specs_of)
         key = (self.step_index, len(self.fault_log))
         cached = runtime.silence_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        verdict = is_silent(self.protocol, self.network, self.config)
+        verdict = is_silent(self.protocol, self.network, self.config,
+                            self.specs_of)
         runtime.silence_cache = (key, verdict)
         return verdict
 
     def silence_witness(self):
         """A reachable communication write proving γ is not silent
         (None when silent)."""
-        return silence_witness(self.protocol, self.network, self.config)
+        return silence_witness(self.protocol, self.network, self.config,
+                               self.specs_of)
 
     def enabled_processes(self) -> List[ProcessId]:
         """Processes with at least one enabled action in the current γ.

@@ -179,11 +179,8 @@ class ColoringBatchKernel(BatchKernel):
         store = self.store
         c = store.col(self._c)
         if store.backend == "numpy":
-            np = store.ops.np
             clash = c[store.nbr] == c[:, None]
-            valid = (np.arange(store.max_degree)[None, :]
-                     < store.deg[:, None])
-            return not bool((clash & valid).any())
+            return not bool((clash & store.port_mask()).any())
         for i, nb in enumerate(store.nbr):
             ci = c[i]
             for j in nb:

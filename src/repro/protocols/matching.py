@@ -308,3 +308,78 @@ class MatchingBatchKernel(BatchKernel):
             writes.append((self._cur, seek_idx, o.compress_list(new_cur, is_seek)))
         # Every fired PR/M write lands a changed communication value.
         return writes, pr_idx + pub_idx
+
+    # -- fused-driver extensions ----------------------------------------
+    def silent_cols(self) -> bool:
+        """Silence straight from the columns, derived from the exact
+        walk (:mod:`repro.core.silence`) with ``M`` and ``PR`` frozen.
+        Only ``seek`` writes ``cur`` alone; every other rule writes a
+        changed ``PR`` or ``M``.  Per ``PR.p``:
+
+        * ``PR.p ∉ {0, cur.p}`` — ``realign`` fires: not silent;
+        * ``PR.p = cur.p`` — ``publish``, ``abandon`` or nothing (no
+          rule moves ``cur``): not silent iff ``M.p ≠ PRmarried(p)``,
+          or ``p`` is not married and ``M.(cur.p) ∨ C.(cur.p) ≺ C.p``;
+        * ``PR.p = 0`` — ``PRmarried`` is false, so ``publish`` fires
+          iff ``M.p``; otherwise each port fires ``accept`` (the
+          neighbor points back), ``propose``
+          (``PR.q=0 ∧ C.p≺C.q ∧ ¬M.q``) or ``seek``, which rotates
+          ``cur`` through every port.  The remaining disabled case
+          needs ``C.q = C.p`` on an edge, which local identifiers
+          (validated constants) rule out.  Not silent iff ``M.p``, or
+          some neighbor points back or is proposable.
+
+        The property suite pins this equivalence against the exact
+        scalar checker, and ``batch-debug`` audits every verdict.
+        """
+        store = self.store
+        m = store.col(self._m)
+        pr = store.col(self._pr)
+        c = store.col(self._c)
+        cur = store.col(self._cur)
+        nbr = store.nbr
+        if store.backend == "numpy":
+            all_idx = store.all_idx
+            null = pr == 0
+            if ((~null) & (pr != cur)).any():
+                return False
+            # PR.p = cur.p: the pointed neighbor, as in classify.
+            q = nbr[all_idx, cur - 1]
+            prq = pr[q]
+            pb = (prq != 0) & (nbr[q, prq - 1] == all_idx)
+            mq = m[q] == 1
+            unsettled = (m != pb) | (~pb & (mq | (c[q] < c)))
+            if (unsettled & ~null).any():
+                return False
+            # PR.p = 0: M.p, or any port that accepts or proposes.
+            if (m[null] == 1).any():
+                return False
+            pr_n = pr[nbr]
+            back = (pr_n != 0) & (
+                nbr[nbr, pr_n - 1] == all_idx[:, None]
+            )
+            proposable = (pr_n == 0) & (c[:, None] < c[nbr]) & (m[nbr] == 0)
+            fires = (back | proposable) & store.port_mask()
+            return not bool((fires.any(axis=1) & null).any())
+        for i, nb in enumerate(nbr):
+            pri = pr[i]
+            ci = c[i]
+            if pri:
+                if pri != cur[i]:
+                    return False
+                j = nb[pri - 1]
+                prj = pr[j]
+                pb = prj != 0 and nbr[j][prj - 1] == i
+                if m[i] != pb or (not pb and (m[j] or c[j] < ci)):
+                    return False
+            else:
+                if m[i]:
+                    return False
+                for j in nb:
+                    prj = pr[j]
+                    if prj:
+                        if nbr[j][prj - 1] == i:
+                            return False
+                    elif ci < c[j] and not m[j]:
+                        return False
+        return True

@@ -191,3 +191,47 @@ class MISBatchKernel(BatchKernel):
             new_cur = o.add(o.mod(cur, o.take(store.deg, idx)), 1)
             writes.append((self._cur, m_idx, o.compress_list(new_cur, moves)))
         return writes, y_idx + c_idx
+
+    # -- fused-driver extensions ----------------------------------------
+    def silent_cols(self) -> bool:
+        """Silence straight from the columns, derived from the exact
+        walk (:mod:`repro.core.silence`) with ``S`` frozen:
+
+        * a Dominator ``p`` fires ``yield`` at any port whose neighbor
+          is a Dominator with a smaller color, and ``patrol`` otherwise
+          — which rotates ``cur`` through every port; so it is not
+          silent iff *some* neighbor is a Dominator with ``C.q ≺ C.p``;
+        * a dominated ``p`` fires ``claim`` or nothing, and only
+          ``claim`` moves ``cur``; so it is not silent iff ``claim``'s
+          guard holds at its current port, i.e.
+          ``¬(S.(cur.p)=Dominator ∧ C.(cur.p) ≺ C.p)``.
+
+        The property suite pins this equivalence against the exact
+        scalar checker, and ``batch-debug`` audits every verdict.
+        """
+        store = self.store
+        s = store.col(self._s)
+        c = store.col(self._c)
+        cur = store.col(self._cur)
+        nbr = store.nbr
+        dom = self._dom
+        if store.backend == "numpy":
+            is_dom = s == dom
+            yields = ((s[nbr] == dom) & (c[nbr] < c[:, None])
+                      & store.port_mask())
+            if (yields.any(axis=1) & is_dom).any():
+                return False
+            q = nbr[store.all_idx, cur - 1]
+            claims = (s[q] != dom) | (c < c[q])
+            return not bool((claims & ~is_dom).any())
+        for i, nb in enumerate(nbr):
+            ci = c[i]
+            if s[i] == dom:
+                for j in nb:
+                    if s[j] == dom and c[j] < ci:
+                        return False
+            else:
+                j = nb[cur[i] - 1]
+                if s[j] != dom or ci < c[j]:
+                    return False
+        return True

@@ -249,6 +249,28 @@ class TestInstrumentation:
         assert spans and spans[-1]["steps"] == 10
         assert snap["histograms"]["engine.fused_span_steps"]["count"] >= 1
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_silence_checks_counted(self, protocol):
+        """Exact checks bump ``silence.checks``; the fused driver's
+        columnar verdicts land on its ``engine.run_steps`` span — one
+        per synchronous round, none of them an exact check."""
+        sim = ExperimentSpec(protocol=protocol, topology="ring",
+                             topology_params={"n": 16}, seed=2,
+                             engine="batch",
+                             metrics="aggregate").build_simulator()
+        sim.is_silent()
+        assert TELEMETRY.snapshot()["counters"]["silence.checks"] == 0
+        TELEMETRY.enable()
+        sim.is_silent()
+        assert TELEMETRY.snapshot()["counters"]["silence.checks"] == 1
+        steps, silent = sim.run_resident(stop_on_silence=True,
+                                         max_rounds=10_000)
+        assert silent
+        span = [r for r in TELEMETRY.spans()
+                if r["name"] == "engine.run_steps"][-1]
+        assert span["silence_checks"] == steps
+        assert TELEMETRY.snapshot()["counters"]["silence.checks"] == 1
+
     def test_campaign_records_store_snapshot(self, tmp_path):
         store_path = tmp_path / "camp.sqlite"
         small_grid(seeds=3).run(out=store_path, sink="sqlite",

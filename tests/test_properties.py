@@ -5,7 +5,10 @@ port numberings, initial configurations and schedules — the adversarial
 quantifiers of the paper's definitions.
 """
 
+import contextlib
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import BatchEngine, Configuration, Simulator, is_silent
 from repro.core.actions import first_enabled
+from repro.core.columns import _load_numpy
 from repro.core.context import StepContext
 from repro.core.rounds import RoundTracker
 from repro.core.scheduler import SynchronousScheduler
@@ -52,6 +56,14 @@ def _network(draw):
 
 
 networks = st.composite(_network)()
+
+#: the column backends a batch engine can bind; the python one is forced
+#: by blocking the NumPy import, exactly as on a NumPy-less install
+COLUMN_BACKENDS = (
+    pytest.param("numpy", marks=pytest.mark.skipif(
+        _load_numpy() is None, reason="NumPy not importable")),
+    "python",
+)
 
 
 class TestGraphSubstrateProperties:
@@ -278,6 +290,76 @@ class TestBatchKernelProperties:
         # lockstep — the decoded rows are a faithful resume point
         assert resident.step() == scalar.step()
         assert resident.config == scalar.config
+
+
+    @pytest.mark.parametrize("backend", COLUMN_BACKENDS)
+    @given(
+        networks,
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(("coloring", "mis", "matching")),
+    )
+    @settings(SLOW, max_examples=100)
+    def test_silent_cols_matches_exact_checker(self, backend, net, seed,
+                                               protocol):
+        """The kernel's columnar silence verdict equals the exact scalar
+        checker on every configuration of a synchronous run to silence
+        (``batch-debug`` audits each round's verdict), on arbitrary
+        configurations, and on the silent one with 1–2 corrupted
+        registers.  Every writable register is set to each of its other
+        values alone: a verdict rule wrong in one local situation only
+        shows when that process is the sole non-silent one.  Both
+        verdicts are always drawn."""
+        rng = random.Random(seed)
+        pids = list(net.processes)
+        if protocol == "coloring":
+            proto = ColoringProtocol.for_network(net)
+        else:
+            # Distinct random identifiers: every color order occurs.
+            ids = dict(zip(pids, rng.sample(range(1, len(pids) + 1),
+                                            len(pids))))
+            proto = (MISProtocol if protocol == "mis"
+                     else MatchingProtocol)(net, ids)
+        specs_of = proto.specs_of(net)
+
+        def on_backend():
+            if backend == "python":
+                return mock.patch.dict(sys.modules, {"numpy": None})
+            return contextlib.nullcontext()
+
+        with on_backend():
+            sim = Simulator(proto, net, scheduler=SynchronousScheduler(),
+                            seed=seed, engine="batch-debug",
+                            metrics="aggregate")
+        assert sim.engine.backend_name == backend
+        assert sim.run_until_silent(max_rounds=100_000).silent
+        arbitrary = proto.arbitrary_configuration(net, rng)
+        while is_silent(proto, net, arbitrary):
+            arbitrary = proto.arbitrary_configuration(net, rng)
+        configs = [arbitrary, proto.arbitrary_configuration(net, rng),
+                   sim.config.copy()]
+        registers = [(p, spec) for p in pids for spec in specs_of[p]
+                     if spec.writable]
+        corruptions = [[(p, spec, value)] for p, spec in registers
+                       for value in spec.domain
+                       if value != sim.config.get(p, spec.name)]
+        corruptions += [[(p, spec, spec.domain.sample(rng))
+                         for p, spec in rng.sample(registers, 2)]
+                        for _ in range(4)]
+        for corruption in corruptions:
+            corrupted = sim.config.copy()
+            for p, spec, value in corruption:
+                corrupted.set(p, spec.name, value)
+            configs.append(corrupted)
+        verdicts = set()
+        for config in configs:
+            exact = is_silent(proto, net, config)
+            engine = BatchEngine()
+            with on_backend():
+                engine.bind(proto, net, config, specs_of)
+            assert engine.backend_name == backend
+            assert engine._kernel.silent_cols() == exact, (protocol, config)
+            verdicts.add(exact)
+        assert verdicts == {True, False}
 
 
 class TestSilenceCheckerProperties:

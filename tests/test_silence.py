@@ -1,10 +1,21 @@
 """Unit tests for the sound silence (quiescence) checker."""
 
+import random
+
 import pytest
 
-from repro.core import Configuration, is_silent, silence_witness
+from repro.api.registry import protocol_registry
+from repro.core import Configuration, Simulator, is_silent, silence_witness
+from repro.core.scheduler import SynchronousScheduler
 from repro.core.silence import process_quiescence_witness
-from repro.graphs import chain, greedy_coloring, ring
+from repro.graphs import (
+    chain,
+    greedy_coloring,
+    grid,
+    random_connected,
+    relabel_ports_randomly,
+    ring,
+)
 from repro.protocols import ColoringProtocol, MISProtocol
 
 
@@ -126,3 +137,93 @@ class TestSilenceAfterConvergence:
         sim.run_until_silent(max_rounds=5000)
         assert is_silent(proto, small_network, sim.config)
         assert proto.is_legitimate(small_network, sim.config)
+
+
+PROTOCOLS = ("coloring", "mis", "matching")
+TOPOLOGIES = (
+    lambda: ring(9),
+    lambda: grid(3, 4),
+    lambda: random_connected(12, 0.35, seed=4),
+    lambda: relabel_ports_randomly(
+        random_connected(10, 0.5, seed=9), random.Random(1)
+    ),
+)
+
+
+class TestLinearWalk:
+    """One check walks every process against one shared trial copy, and
+    leaves the checked configuration exactly as it found it."""
+
+    @pytest.fixture
+    def copies(self, monkeypatch):
+        calls = []
+        original = Configuration.copy
+
+        def spy(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(Configuration, "copy", spy)
+        return calls
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("n", [6, 24, 96])
+    def test_at_most_one_copy_per_check(self, copies, protocol, n):
+        """A silent γ makes every process walk its whole pointer cycle —
+        the worst case — yet the check copies γ at most once."""
+        net = ring(n)
+        sim = Simulator(protocol_registry.build(protocol, net), net, seed=n)
+        sim.run_until_silent(max_rounds=100_000)
+        for check in (
+            lambda: is_silent(sim.protocol, net, sim.config),
+            lambda: silence_witness(sim.protocol, net, sim.config),
+            sim.is_silent,
+        ):
+            del copies[:]
+            check()
+            assert len(copies) <= 1
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("make_net", TOPOLOGIES)
+    def test_walk_leaves_config_untouched(self, protocol, make_net):
+        net = make_net()
+        proto = protocol_registry.build(protocol, net)
+        for seed in range(5):
+            config = proto.arbitrary_configuration(net, random.Random(seed))
+            snapshot = config.copy()
+            silence_witness(proto, net, config)
+            assert config == snapshot
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_resident_config_keeps_its_sync_hook(self, protocol):
+        net = ring(12)
+        sim = Simulator(protocol_registry.build(protocol, net), net,
+                        scheduler=SynchronousScheduler(), seed=2,
+                        engine="batch", metrics="aggregate")
+        sim.run_resident(steps=3)
+        snapshot = sim.config.copy()
+        silence_witness(sim.protocol, net, sim.config)
+        sim.is_silent()
+        assert sim.config == snapshot
+        # Columns run ahead again; a plain read must still decode them.
+        steps, _silent = sim.run_resident(steps=2)
+        assert steps == 2 and sim.engine._store.dirty
+        sim.config.get(next(iter(net.processes)), "cur")
+        assert not sim.engine._store.dirty
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("make_net", TOPOLOGIES)
+    def test_witness_is_first_per_process_witness(self, protocol, make_net):
+        """The shared walk returns exactly the witness of the first
+        non-quiescent process in network order, rule for rule and value
+        for value."""
+        net = make_net()
+        proto = protocol_registry.build(protocol, net)
+        for seed in range(8):
+            config = proto.arbitrary_configuration(net, random.Random(seed))
+            expected = next(
+                (w for w in (process_quiescence_witness(proto, net, config, p)
+                             for p in net.processes) if w is not None),
+                None,
+            )
+            assert silence_witness(proto, net, config) == expected
