@@ -218,6 +218,16 @@ class EnabledSetEngine(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def _influence_map(protocol, network) -> Dict[ProcessId, tuple]:
+    """``q ->`` the processes (≠ q) whose guards may read q: the inverse
+    of ``protocol.reads``."""
+    influence: Dict[ProcessId, list] = {p: [] for p in network.processes}
+    for p in network.processes:
+        for q in protocol.reads(network, p):
+            influence[q].append(p)
+    return {q: tuple(ps) for q, ps in influence.items()}
+
+
 class ScanEngine(EnabledSetEngine):
     """The full-scan fallback: every query rescans every guard.
 
@@ -262,12 +272,13 @@ class ScanEngine(EnabledSetEngine):
 class IncrementalEngine(EnabledSetEngine):
     """Dirty-set maintenance of the enabled set.
 
-    On :meth:`bind` the engine performs one full scan and precomputes
-    the *influence map* — for each process ``q``, the processes whose
-    guards may read ``q``'s communication variables (the inverse of
-    :meth:`Protocol.reads <repro.core.protocol.Protocol.reads>`).
-    After a step, exactly ``activated ∪ influence(comm_changed)`` is
-    marked dirty; a query re-evaluates only dirty guards.
+    :meth:`bind` evaluates no guard: the first query builds the
+    *influence map* (the inverse of :meth:`Protocol.reads
+    <repro.core.protocol.Protocol.reads>`) and scans, so an all-pool
+    daemon pays neither, and a raising guard surfaces at the first
+    query or step.  Then a step marks exactly
+    ``activated ∪ influence(comm_changed)`` dirty; a query re-evaluates
+    only dirty guards.
 
     When the accumulated dirty-set covers the whole network (e.g. under
     the synchronous daemon, or after ``invalidate(None)``) the engine
@@ -280,18 +291,9 @@ class IncrementalEngine(EnabledSetEngine):
     def bind(self, protocol, network, config, specs_of) -> None:
         super().bind(protocol, network, config, specs_of)
         self._n = network.n
-        # influence[q] = processes (≠ q) whose enabled-status may depend
-        # on q's communication variables.
-        influence: Dict[ProcessId, list] = {p: [] for p in network.processes}
-        for p in network.processes:
-            for q in protocol.reads(network, p):
-                influence[q].append(p)
-        self._influence: Dict[ProcessId, Tuple[ProcessId, ...]] = {
-            q: tuple(ps) for q, ps in influence.items()
-        }
+        self._influence: Optional[Dict[ProcessId, tuple]] = None
         self._dirty: Set[ProcessId] = set()
-        self._stale_all = False
-        self._enabled: Set[ProcessId] = self._scan()
+        self._stale_all = True  # the first query primes the engine
         self._list: Optional[Tuple[ProcessId, ...]] = None
 
     def rebind_network(self, protocol, network, config, specs_of) -> None:
@@ -299,11 +301,7 @@ class IncrementalEngine(EnabledSetEngine):
         (the old map would route invalidations to stale neighborhoods)."""
         super().rebind_network(protocol, network, config, specs_of)
         self._n = network.n
-        influence: Dict[ProcessId, list] = {p: [] for p in network.processes}
-        for p in network.processes:
-            for q in protocol.reads(network, p):
-                influence[q].append(p)
-        self._influence = {q: tuple(ps) for q, ps in influence.items()}
+        self._influence = _influence_map(protocol, network)
 
     # ------------------------------------------------------------------
     def note_step(self, activated, comm_changed) -> None:
@@ -331,12 +329,16 @@ class IncrementalEngine(EnabledSetEngine):
     # ------------------------------------------------------------------
     def _flush(self) -> None:
         if self._stale_all:
+            rescan = self._influence is not None  # else bind's first scan
+            if not rescan:
+                self._influence = _influence_map(self.protocol, self.network)
             self._enabled = self._scan()
             self._stale_all = False
             self._dirty.clear()
             self._list = None
             if TELEMETRY.enabled:
-                TELEMETRY.counter("engine.incremental.rescans").inc()
+                if rescan:
+                    TELEMETRY.counter("engine.incremental.rescans").inc()
                 TELEMETRY.gauge("engine.enabled_set").set(len(self._enabled))
             return
         if not self._dirty:

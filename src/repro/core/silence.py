@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
 from .actions import first_enabled
-from .context import StepContext
+from .context import StepContextPool
 from .protocol import Protocol
 from .state import Configuration
 
@@ -62,32 +62,32 @@ class QuiescenceWitness:
 
 
 class _QuiescenceWalker:
-    """The per-process walks of one silence check, sharing one trial copy.
+    """The per-process walks of one silence check, on pooled contexts.
 
-    A walk only ever writes ``p``'s internal registers, and only in the
-    trial: effects stay buffered in ``ctx.writes`` and are never
-    flushed.  So one copy of γ serves every process, provided each walk
-    puts ``p``'s internals back before the next one starts.  The first
-    state of a walk is γ's own, so it is evaluated against ``config``
-    directly; the copy is made only when some walk has to step past its
-    first state (a non-silent γ usually yields its witness before that).
-    A check costs O(n + Σ walk lengths).
+    A walk only ever changes ``p``'s internal registers, and never in
+    γ: each walk state is ``p``'s pooled context, re-armed and then
+    given the state's internals as buffered writes, which
+    :meth:`StepContext.get` reads before γ.  So no walk copies or
+    writes the configuration, and every neighbour cell is resolved once
+    per pool.  The pool is the run's own when the caller holds one
+    (its contexts are re-armed before any later use), else a throwaway
+    one.  A check costs O(n + Σ walk lengths).
     """
 
-    __slots__ = ("network", "config", "specs_of", "actions", "rng",
-                 "_trial", "_internal_of")
+    __slots__ = ("config", "pool", "actions", "rng", "specs_of",
+                 "_internal_of")
 
     def __init__(self, protocol: Protocol, network, config: Configuration,
-                 specs_of=None):
-        self.network = network
+                 specs_of=None, pool: Optional[StepContextPool] = None):
         self.config = config
         self.specs_of = (specs_of if specs_of is not None
                          else protocol.specs_of(network))
+        self.pool = (pool if pool is not None
+                     else StepContextPool(network, config, self.specs_of))
         self.actions = protocol.actions()
         # Every walk probes from a fresh seed-0 stream; a walk that drew
         # from it reseeds it on exit (see :meth:`witness`).
         self.rng = random.Random(0)
-        self._trial: Optional[Configuration] = None
         #: internal register names per spec tuple (protocols share one
         #: tuple per degree, so this is a handful of entries)
         self._internal_of = {}
@@ -104,14 +104,11 @@ class _QuiescenceWalker:
     def witness(self, p: ProcessId) -> Optional[QuiescenceWitness]:
         """Witness that ``p`` can still change its communication state,
         or None: the walk from ``p``'s actual internal state."""
-        network, config, specs_of = self.network, self.config, self.specs_of
-        actions, rng = self.actions, self.rng
+        config, actions, rng = self.config, self.actions, self.rng
         names = self._internal_names(p)
-        ctx = StepContext(p, network, config, specs_of, rng=rng)
-        start = tuple(map(ctx.get, names))
-        state = start
+        ctx = self.pool.acquire(p, rng)
+        state = tuple(map(ctx.get, names))
         seen = set()
-        trial = None
         try:
             while True:
                 seen.add(state)
@@ -139,23 +136,13 @@ class _QuiescenceWalker:
                 state = tuple(map(ctx.get, names))
                 if state in seen:
                     return None
-                if trial is None:
-                    if self._trial is None:
-                        self._trial = config.copy()
-                    trial = self._trial
-                    ctx = StepContext(p, network, trial, specs_of, rng=rng)
-                else:
-                    ctx.reset(rng)
-                for name, value in zip(names, state):
-                    trial.set(p, name, value)
+                ctx.reset(rng)
+                ctx.writes.update(zip(names, state))
         finally:
             # A draw ends the walk with a witness (or, from a guard,
             # with None): only the state it ended on can have drawn.
             if ctx.used_randomness:
                 rng.seed(0)
-            if trial is not None:
-                for name, value in zip(names, start):
-                    trial.set(p, name, value)
 
 
 def process_quiescence_witness(
@@ -164,20 +151,26 @@ def process_quiescence_witness(
     config: Configuration,
     p: ProcessId,
     specs_of=None,
+    pool: Optional[StepContextPool] = None,
 ) -> Optional[QuiescenceWitness]:
     """Witness that ``p`` can still change its communication state, or None."""
-    return _QuiescenceWalker(protocol, network, config, specs_of).witness(p)
+    return _QuiescenceWalker(protocol, network, config, specs_of,
+                             pool).witness(p)
 
 
 def silence_witness(
-    protocol: Protocol, network, config: Configuration, specs_of=None
+    protocol: Protocol, network, config: Configuration, specs_of=None,
+    pool: Optional[StepContextPool] = None,
 ) -> Optional[QuiescenceWitness]:
     """First witness that ``config`` is not silent, or None if it is.
 
-    Processes are walked in network order; ``specs_of`` (the run's spec
-    map, when the caller holds one) spares a rebuild.
+    Processes are walked in network order; ``specs_of`` and ``pool``
+    (the run's spec map and context pool over ``config``, when the
+    caller holds them) spare a rebuild.  Pooled contexts read rows
+    directly, so a caller passing a pool must have decoded any pending
+    column writes first.
     """
-    walker = _QuiescenceWalker(protocol, network, config, specs_of)
+    walker = _QuiescenceWalker(protocol, network, config, specs_of, pool)
     for p in network.processes:
         witness = walker.witness(p)
         if witness is not None:
@@ -186,7 +179,9 @@ def silence_witness(
 
 
 def is_silent(
-    protocol: Protocol, network, config: Configuration, specs_of=None
+    protocol: Protocol, network, config: Configuration, specs_of=None,
+    pool: Optional[StepContextPool] = None,
 ) -> bool:
     """True iff the communication variables of ``config`` are fixed forever."""
-    return silence_witness(protocol, network, config, specs_of) is None
+    return silence_witness(protocol, network, config, specs_of,
+                           pool) is None

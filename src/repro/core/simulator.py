@@ -45,7 +45,7 @@ from .protocol import Protocol
 from .rngstreams import RngStreams
 from .rounds import RoundTracker
 from .scheduler import Scheduler, SynchronousScheduler
-from .silence import is_silent, silence_witness
+from .silence import silence_witness
 from .state import Configuration, LegacyConfiguration
 
 ProcessId = Hashable
@@ -639,22 +639,23 @@ class Simulator:
             self._obs_silence_checks.inc()
         runtime = self.scenario_runtime
         if runtime is None:
-            return is_silent(self.protocol, self.network, self.config,
-                             self.specs_of)
+            return self.silence_witness() is None
         key = (self.step_index, len(self.fault_log))
         cached = runtime.silence_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        verdict = is_silent(self.protocol, self.network, self.config,
-                            self.specs_of)
+        verdict = self.silence_witness() is None
         runtime.silence_cache = (key, verdict)
         return verdict
 
     def silence_witness(self):
         """A reachable communication write proving γ is not silent
-        (None when silent)."""
+        (None when silent), walked on the step loop's pooled contexts:
+        pending column writes decode first, as for ``step()``'s divert."""
+        if self._batch is not None:
+            self._batch.materialize_rows()
         return silence_witness(self.protocol, self.network, self.config,
-                               self.specs_of)
+                               self.specs_of, self._ctx_pool)
 
     def enabled_processes(self) -> List[ProcessId]:
         """Processes with at least one enabled action in the current γ.

@@ -25,10 +25,14 @@ from repro.core import (
 from repro.core.actions import GuardedAction, first_enabled
 from repro.core.batchengine import BatchEngine
 from repro.core.context import StepContext
-from repro.core.engine import ENGINE_NAMES, CrossCheckEngine, IncrementalEngine, ScanEngine
+from repro.core.engine import (
+    ENGINE_NAMES, CrossCheckEngine, EnabledSetEngine, IncrementalEngine,
+    ScanEngine,
+)
 from repro.core.protocol import Protocol
 from repro.core.scheduler import BoundedFairScheduler, LocallyCentralScheduler
-from repro.core.variables import BOOL, comm
+from repro.core.exceptions import IllegalRead
+from repro.core.variables import BOOL, comm, internal
 from repro.faults import corrupt_processes
 from repro.graphs import chain, grid, random_connected, ring, sparse_random
 from repro.protocols import ColoringProtocol, MatchingProtocol, MISProtocol
@@ -165,6 +169,113 @@ class TestEnabledSetMaintenance:
         sim.config.set(p, "S", flipped)
         sim.invalidate_enabled()
         assert sim.enabled_processes() == brute_force_enabled(sim)
+
+
+class TestLazyIncrementalEngine:
+    """Binding evaluates no guard: a run whose daemon draws from all
+    processes never pays for the enabled set, and the first query
+    answers exactly as a full scan would."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        calls = []
+        original = EnabledSetEngine._is_enabled
+
+        def spy(engine, p):
+            calls.append(p)
+            return original(engine, p)
+
+        monkeypatch.setattr(EnabledSetEngine, "_is_enabled", spy)
+        return calls
+
+    @staticmethod
+    def scan_list(sim):
+        scan = ScanEngine()
+        scan.bind(sim.protocol, sim.network, sim.config, sim.specs_of)
+        return scan.enabled_list()
+
+    @pytest.mark.parametrize("engine", ["incremental", "debug"])
+    @pytest.mark.parametrize("scheduler", ["synchronous", "central",
+                                           "random-subset", "round-robin"])
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_all_pool_run_evaluates_no_probe_guard(
+            self, probes, protocol, scheduler, engine):
+        net = grid(3, 4)
+        sim = Simulator(build_protocol(protocol, net), net,
+                        scheduler=SCHEDULERS[scheduler](net), seed=7,
+                        engine=engine)
+        sim.run_until_silent(max_rounds=5000)
+        assert probes == [] and len(sim.engine._probe_pool) == 0
+        assert sim.engine.enabled_list() == self.scan_list(sim)
+        assert list(sim.engine.enabled_list()) == brute_force_enabled(sim)
+
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_first_query_mid_run_matches_scan(self, protocol):
+        net = random_connected(14, 0.3, seed=5)
+        for steps in (0, 1, 5, 20):
+            sim = Simulator(build_protocol(protocol, net), net,
+                            scheduler=CentralScheduler(), seed=steps)
+            sim.run_steps(steps)
+            assert sim.engine.enabled_list() == self.scan_list(sim)
+            # Primed now: later steps go through the dirty set.
+            for _ in range(10):
+                sim.step()
+                assert sim.engine.enabled_list() == self.scan_list(sim)
+
+    @pytest.mark.parametrize("engine", ["incremental", "debug"])
+    def test_invalidate_before_first_query(self, engine):
+        net = ring(12)
+        sim = Simulator(build_protocol("mis", net), net,
+                        scheduler=CentralScheduler(), seed=4, engine=engine)
+        sim.run_steps(6)
+        corrupt_processes(sim, [0, 5], random.Random(1))
+        sim.invalidate_enabled([3])
+        sim.invalidate_enabled(None)
+        assert sim.enabled_processes() == brute_force_enabled(sim)
+        for _ in range(20):
+            sim.step()
+            assert sim.enabled_processes() == brute_force_enabled(sim)
+
+    @pytest.mark.parametrize("engine", ["incremental", "debug"])
+    def test_rebind_network_before_first_query(self, engine):
+        """The rebound engine routes invalidations through the new
+        topology's influence map from its first step on."""
+        sim = Simulator(build_protocol("matching", ring(12)), ring(12),
+                        scheduler=CentralScheduler(), seed=2, engine=engine,
+                        protocol_factory=lambda n: build_protocol(
+                            "matching", n))
+        sim.run_steps(4)
+        sim.rebind_network(random_connected(12, 0.35, seed=4))
+        assert sim.enabled_processes() == brute_force_enabled(sim)
+        for _ in range(30):
+            sim.step()
+            assert sim.enabled_processes() == brute_force_enabled(sim)
+
+    def test_guard_error_surfaces_at_first_query_or_step(self):
+        class PeekInternal(Protocol):
+            """Toy whose guard reads a neighbor's internal register."""
+
+            name = "peek-internal"
+
+            def variables(self, network, p):
+                return (internal("y", BOOL),)
+
+            def actions(self):
+                return (
+                    GuardedAction("peek", lambda ctx: ctx.read(1, "y"),
+                                  lambda ctx: None),
+                )
+
+            def is_legitimate(self, network, config):
+                return True
+
+        net = ring(6)
+        for query in (lambda sim: sim.enabled_processes(),
+                      lambda sim: sim.step()):
+            sim = Simulator(PeekInternal(), net,
+                            scheduler=CentralScheduler(), seed=0)
+            with pytest.raises(IllegalRead):
+                query(sim)
 
 
 class TestCrossCheckEngine:

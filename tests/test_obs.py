@@ -271,6 +271,37 @@ class TestInstrumentation:
         assert span["silence_checks"] == steps
         assert TELEMETRY.snapshot()["counters"]["silence.checks"] == 1
 
+    @pytest.mark.parametrize("daemon", DAEMONS)
+    def test_all_pool_run_never_touches_the_enabled_set(self, daemon):
+        """Daemons drawing from all processes never query the enabled
+        set, so the incremental engine neither scans nor reclassifies."""
+        TELEMETRY.enable()
+        result = ExperimentSpec(protocol="mis", topology="ring",
+                                topology_params={"n": 12}, scheduler=daemon,
+                                seed=4).run()
+        assert result.silent
+        counters = TELEMETRY.snapshot()["counters"]
+        assert counters.get("engine.incremental.rescans", 0) == 0
+        assert counters.get("engine.incremental.reclassified", 0) == 0
+
+    def test_rescans_exclude_the_deferred_first_scan(self):
+        """An enabled-drawing run primes the engine with one uncounted
+        scan, then reclassifies dirty guards; only a later full
+        invalidation counts as a rescan."""
+        TELEMETRY.enable()
+        sim = ExperimentSpec(protocol="mis", topology="ring",
+                             topology_params={"n": 12}, scheduler="central",
+                             scheduler_params={"enabled_only": True},
+                             seed=4).build_simulator()
+        sim.run_steps(10)
+        counters = TELEMETRY.snapshot()["counters"]
+        assert counters.get("engine.incremental.rescans", 0) == 0
+        assert counters["engine.incremental.reclassified"] > 0
+        sim.invalidate_enabled(None)
+        sim.enabled_processes()
+        counters = TELEMETRY.snapshot()["counters"]
+        assert counters["engine.incremental.rescans"] == 1
+
     def test_campaign_records_store_snapshot(self, tmp_path):
         store_path = tmp_path / "camp.sqlite"
         small_grid(seeds=3).run(out=store_path, sink="sqlite",

@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+import repro.api.spec
+from repro.api import ExperimentSpec
 from repro.api.registry import protocol_registry
 from repro.core import Configuration, Simulator, is_silent, silence_witness
-from repro.core.scheduler import SynchronousScheduler
+from repro.core.context import StepContextPool
+from repro.core.scheduler import CentralScheduler, SynchronousScheduler
 from repro.core.silence import process_quiescence_witness
+from repro.core.trace import TraceRecorder
 from repro.graphs import (
     chain,
     greedy_coloring,
@@ -151,8 +155,8 @@ TOPOLOGIES = (
 
 
 class TestLinearWalk:
-    """One check walks every process against one shared trial copy, and
-    leaves the checked configuration exactly as it found it."""
+    """One check walks every process without copying γ, and leaves the
+    checked configuration exactly as it found it."""
 
     @pytest.fixture
     def copies(self, monkeypatch):
@@ -227,3 +231,132 @@ class TestLinearWalk:
                 None,
             )
             assert silence_witness(proto, net, config) == expected
+
+
+class TestPooledWalks:
+    """Walks on the run's own context pool give the same witnesses as a
+    throwaway pool, write nothing into γ, and leave the run they
+    interleave with untouched."""
+
+    PROTOCOLS = ("coloring", "mis", "matching", "mis-full",
+                 "window-coloring", "window-mis")
+
+    @staticmethod
+    def perturbed_silent(proto, net, seed):
+        """A silent configuration with one process's writable
+        variables overwritten by arbitrary values."""
+        sim = Simulator(proto, net, seed=seed)
+        sim.run_until_silent(max_rounds=100_000)
+        config = sim.config.copy()
+        rng = random.Random(seed)
+        noise = proto.arbitrary_configuration(net, rng)
+        victim = rng.choice(list(net.processes))
+        for spec in sim.specs_of[victim]:
+            if spec.writable:
+                config.set(victim, spec.name, noise.get(victim, spec.name))
+        return config
+
+    @pytest.mark.parametrize("state,engine", [
+        ("flat", "incremental"), ("flat", "batch"), ("legacy", "incremental"),
+    ])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_run_pool_walk_equals_fresh_walk(self, protocol, state, engine):
+        net = random_connected(12, 0.35, seed=4)
+        proto = protocol_registry.build(protocol, net)
+        for seed in range(4):
+            for config in (
+                proto.arbitrary_configuration(net, random.Random(seed)),
+                self.perturbed_silent(proto, net, seed),
+            ):
+                sim = Simulator(proto, net, scheduler=CentralScheduler(),
+                                seed=seed, config=config, state=state,
+                                engine=engine)
+                # Legacy runs hold no pool; give the walks a long-lived
+                # one so the pooled path runs on that backend too.
+                pool = sim._ctx_pool or StepContextPool(
+                    net, sim.config, sim.specs_of)
+                for i in range(25):
+                    # The run's own walk goes first: a batch step leaves
+                    # column writes pending, and a fresh pool's first
+                    # row access would decode them.
+                    pooled = sim.silence_witness()
+                    fresh = silence_witness(proto, net, sim.config)
+                    assert pooled == fresh
+                    assert silence_witness(proto, net, sim.config,
+                                           sim.specs_of, pool) == fresh
+                    for p in net.processes if i % 5 == 0 else ():
+                        assert process_quiescence_witness(
+                            proto, net, sim.config, p, pool=pool
+                        ) == process_quiescence_witness(
+                            proto, net, sim.config, p)
+                    sim.step()
+
+    @pytest.fixture
+    def config_writes(self, monkeypatch):
+        calls = []
+        for name in ("copy", "set"):
+            original = getattr(Configuration, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(Configuration, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_checks_neither_copy_nor_set(self, config_writes, protocol, n):
+        """Every check of a run, silent or not, copies and writes γ
+        zero times."""
+        net = ring(n)
+        sim = Simulator(protocol_registry.build(protocol, net), net, seed=n)
+        verdicts = []
+        closed = True  # γ0 is checked too
+        while not verdicts or not verdicts[-1]:
+            if closed:
+                del config_writes[:]
+                verdicts.append(sim.is_silent())
+                sim.silence_witness()
+                assert config_writes == []
+            closed = sim.step(_record=False)
+        assert False in verdicts
+
+    @pytest.mark.parametrize("engine,state", [
+        ("incremental", "flat"), ("scan", "flat"), ("batch", "flat"),
+        ("incremental", "legacy"),
+    ])
+    @pytest.mark.parametrize("protocol", ["coloring", "mis", "matching"])
+    def test_checks_between_steps_leave_run_unchanged(
+            self, monkeypatch, protocol, engine, state):
+        """A check after every step (central daemon, so a batch engine
+        runs its per-step path) leaves the JSONL trace byte for byte
+        and the trial's result field for field as they were."""
+        monkeypatch.setattr(
+            repro.api.spec, "Simulator",
+            lambda *args, **kw: Simulator(*args, state=state, **kw))
+
+        def trace():
+            net = ring(10)
+            sim = Simulator(protocol_registry.build(protocol, net), net,
+                            scheduler=CentralScheduler(), seed=5,
+                            engine=engine, state=state)
+            return TraceRecorder(sim).run_steps(80).to_jsonl()
+
+        def trial():
+            return ExperimentSpec(
+                protocol=protocol, topology="ring",
+                topology_params={"n": 10}, scheduler="central", seed=5,
+                engine=engine,
+            ).run()
+
+        plain = trace(), trial()
+        step = Simulator.step
+
+        def checked_step(sim, **kw):
+            out = step(sim, **kw)
+            sim.is_silent()
+            return out
+
+        monkeypatch.setattr(Simulator, "step", checked_step)
+        assert (trace(), trial()) == plain
