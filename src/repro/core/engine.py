@@ -294,6 +294,7 @@ class IncrementalEngine(EnabledSetEngine):
         self._influence: Optional[Dict[ProcessId, tuple]] = None
         self._dirty: Set[ProcessId] = set()
         self._stale_all = True  # the first query primes the engine
+        self._scan_counts = False  # ... with a scan that is no rescan
         self._list: Optional[Tuple[ProcessId, ...]] = None
 
     def rebind_network(self, protocol, network, config, specs_of) -> None:
@@ -319,6 +320,7 @@ class IncrementalEngine(EnabledSetEngine):
     def invalidate(self, processes=None) -> None:
         if processes is None:
             self._stale_all = True
+            self._scan_counts = True
             self._dirty.clear()
         else:
             # Treat the out-of-band write like a step that both
@@ -329,8 +331,8 @@ class IncrementalEngine(EnabledSetEngine):
     # ------------------------------------------------------------------
     def _flush(self) -> None:
         if self._stale_all:
-            rescan = self._influence is not None  # else bind's first scan
-            if not rescan:
+            rescan, self._scan_counts = self._scan_counts, True
+            if self._influence is None:
                 self._influence = _influence_map(self.protocol, self.network)
             self._enabled = self._scan()
             self._stale_all = False

@@ -151,11 +151,9 @@ def process_quiescence_witness(
     config: Configuration,
     p: ProcessId,
     specs_of=None,
-    pool: Optional[StepContextPool] = None,
 ) -> Optional[QuiescenceWitness]:
     """Witness that ``p`` can still change its communication state, or None."""
-    return _QuiescenceWalker(protocol, network, config, specs_of,
-                             pool).witness(p)
+    return _QuiescenceWalker(protocol, network, config, specs_of).witness(p)
 
 
 def silence_witness(
@@ -179,9 +177,7 @@ def silence_witness(
 
 
 def is_silent(
-    protocol: Protocol, network, config: Configuration, specs_of=None,
-    pool: Optional[StepContextPool] = None,
+    protocol: Protocol, network, config: Configuration, specs_of=None
 ) -> bool:
     """True iff the communication variables of ``config`` are fixed forever."""
-    return silence_witness(protocol, network, config, specs_of,
-                           pool) is None
+    return silence_witness(protocol, network, config, specs_of) is None

@@ -302,6 +302,24 @@ class TestInstrumentation:
         counters = TELEMETRY.snapshot()["counters"]
         assert counters["engine.incremental.rescans"] == 1
 
+    @pytest.mark.parametrize("invalidate", ["none", "config"])
+    def test_full_invalidation_before_first_query_is_a_rescan(
+            self, invalidate):
+        """A full invalidation (or a replaced configuration) before the
+        first query still counts its scan, as when bind scanned eagerly."""
+        TELEMETRY.enable()
+        sim = ExperimentSpec(protocol="mis", topology="ring",
+                             topology_params={"n": 12}, seed=4,
+                             ).build_simulator()
+        if invalidate == "none":
+            sim.invalidate_enabled(None)
+        else:
+            sim.config = sim.config.copy()
+        sim.enabled_processes()
+        sim.enabled_processes()
+        counters = TELEMETRY.snapshot()["counters"]
+        assert counters["engine.incremental.rescans"] == 1
+
     def test_campaign_records_store_snapshot(self, tmp_path):
         store_path = tmp_path / "camp.sqlite"
         small_grid(seeds=3).run(out=store_path, sink="sqlite",

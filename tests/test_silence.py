@@ -275,7 +275,7 @@ class TestPooledWalks:
                 # one so the pooled path runs on that backend too.
                 pool = sim._ctx_pool or StepContextPool(
                     net, sim.config, sim.specs_of)
-                for i in range(25):
+                for _ in range(25):
                     # The run's own walk goes first: a batch step leaves
                     # column writes pending, and a fresh pool's first
                     # row access would decode them.
@@ -284,11 +284,6 @@ class TestPooledWalks:
                     assert pooled == fresh
                     assert silence_witness(proto, net, sim.config,
                                            sim.specs_of, pool) == fresh
-                    for p in net.processes if i % 5 == 0 else ():
-                        assert process_quiescence_witness(
-                            proto, net, sim.config, p, pool=pool
-                        ) == process_quiescence_witness(
-                            proto, net, sim.config, p)
                     sim.step()
 
     @pytest.fixture
