@@ -172,13 +172,13 @@ _COLORERS: Dict[str, Callable[[Network], Coloring]] = {
 
 
 def _colors(network: Network, coloring: str) -> Coloring:
-    try:
-        return _COLORERS[coloring](network)
-    except KeyError:
+    colorer = _COLORERS.get(coloring)
+    if colorer is None:
         raise ValueError(
             f"unknown coloring algorithm {coloring!r}; "
             f"known: {sorted(_COLORERS)}"
-        ) from None
+        )
+    return colorer(network)
 
 
 @register_protocol("coloring")

@@ -11,7 +11,9 @@ code: everything is built on demand from the registries.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -19,6 +21,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from ..core.engine import make_engine
 from ..core.metrics import METRICS_TIERS
+from ..core.rngstreams import derive_seed
 from ..obs.registry import TELEMETRY
 from ..core.simulator import Simulator
 from .registry import (
@@ -35,6 +38,17 @@ def _frozen_params(params: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
     # self (tuples become lists, keys become strings) and unserializable
     # parameters fail loudly at construction, not at campaign time.
     return json.loads(json.dumps(params, sort_keys=True))
+
+
+@functools.lru_cache(maxsize=None)
+def _takes_seed(builder) -> bool:
+    """Whether a topology builder draws a random graph from a ``seed``."""
+    return "seed" in inspect.signature(builder).parameters
+
+
+#: ``key()`` marker of specs whose topology seed derives from the spec
+#: seed; its version bumps if the derivation ever changes.
+_DERIVED_TOPOLOGY_SEED = "spec-seed/v1"
 
 
 @dataclass(frozen=True)
@@ -137,11 +151,17 @@ class ExperimentSpec:
         axis *is* keyed (different fault scripts produce different
         results), but a scenario-free spec keys exactly as it did
         before the field existed, so pre-scenario sinks still resume.
+        A spec whose random topology takes its seed from the spec seed
+        (see :meth:`build_network`) carries a version marker: rows that
+        older code drew from an unseeded graph never resume into it.
+        Every other spec keys as before.
         """
         payload = self.to_dict()
         del payload["engine"]
         if self.metrics in ("full", "aggregate"):
             del payload["metrics"]
+        if self._derives_topology_seed():
+            payload["topology_seed"] = _DERIVED_TOPOLOGY_SEED
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()[:12]
@@ -158,8 +178,24 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
     # Construction of live objects
     # ------------------------------------------------------------------
+    def _derives_topology_seed(self) -> bool:
+        return (self.topology_params.get("seed") is None
+                and self.topology in topology_registry
+                and _takes_seed(topology_registry.get(self.topology)))
+
     def build_network(self):
-        return topology_registry.build(self.topology, **self.topology_params)
+        """The spec's network.
+
+        A builder that takes a ``seed`` (``gnp``, ``sparse``,
+        ``regular``, ``tree``) and gets none in ``topology_params``
+        draws from the spec seed's ``"topology"`` stream
+        (:func:`repro.core.rngstreams.derive_seed`), so the same spec
+        always builds the same graph.
+        """
+        params = self.topology_params
+        if self._derives_topology_seed():
+            params = dict(params, seed=derive_seed(self.seed, "topology"))
+        return topology_registry.build(self.topology, **params)
 
     def build_protocol(self, network):
         return protocol_registry.build(

@@ -13,7 +13,8 @@ register-width tables every kernel needs:
   value tuple, so ``Dominator``/``dominated`` and ``False``/``True``
   become ``0``/``1``);
 * ``nbr`` / ``deg`` — a padded neighbor-index matrix built from the
-  port-ordered :meth:`Network.neighbors` tuples (``nbr[i][port-1]`` is
+  network's integer port table :attr:`Network.adjacency`
+  (``nbr[i][port-1]`` is
   the column index of the neighbor behind port ``port`` of process
   ``i``);
 * ``reg_bits(name)`` — per-process register widths in bits, gathered by
@@ -399,9 +400,10 @@ class ColumnStore:
         ]
         np = _load_numpy()
         ops = _NumpyOps(np) if np is not None else _PythonOps()
-        pindex = {p: i for i, p in enumerate(pids)}
-        port_lists = [network.neighbors(p) for p in pids]
-        degs = list(map(len, port_lists))
+        # The network's own integer port table: positions match ``pids``.
+        pindex = network.index
+        adjacency = network.adjacency
+        degs = list(map(len, adjacency))
         max_degree = max(degs) if degs else 0
         if max_degree == 0:
             return None
@@ -409,25 +411,20 @@ class ColumnStore:
             # Padded (n, Δ) table built by scatter instead of a Python
             # per-neighbor append loop — at 1M processes the loop was
             # most of the store build.
-            flat_pids = list(chain.from_iterable(port_lists))
-            flat = np.fromiter(
-                map(pindex.__getitem__, flat_pids),
-                dtype=np.int64, count=len(flat_pids),
-            )
+            m2 = sum(degs)
+            flat = np.fromiter(chain.from_iterable(adjacency),
+                               dtype=np.int64, count=m2)
             deg_arr = np.asarray(degs, dtype=np.int64)
             rows_rep = np.repeat(np.arange(n, dtype=np.int64), deg_arr)
             starts = np.repeat(
                 np.cumsum(deg_arr, dtype=np.int64) - deg_arr, deg_arr
             )
-            cols_rep = np.arange(len(flat_pids), dtype=np.int64) - starts
+            cols_rep = np.arange(m2, dtype=np.int64) - starts
             nbr = np.zeros((n, max_degree), dtype=np.int64)
             nbr[rows_rep, cols_rep] = flat
             deg = deg_arr
         else:
-            nbr = [
-                array("q", (pindex[q] for q in order))
-                for order in port_lists
-            ]
+            nbr = [array("q", row) for row in adjacency]
             deg = ops.int_col(degs)
         return cls(ops, pids, pindex, layout, rows, codecs, bits_raw,
                    nbr, deg, max_degree)

@@ -19,6 +19,9 @@ would shift every subsequent draw and change the whole execution.
   derived stream never perturbs the root sequence, which is the whole
   point: attaching a scenario to a run must not change what the
   scheduler or the protocol would have drawn.
+* ``topology`` — no stream object: :func:`derive_seed` of
+  ``(seed, "topology")`` is the seed an experiment spec hands a random
+  topology builder that was given none, so a spec names one graph.
 """
 
 from __future__ import annotations

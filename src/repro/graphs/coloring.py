@@ -5,8 +5,8 @@ process holds a communication constant color ``C.p`` that differs from
 every neighbor's, ordered by ``≺``.  Any proper vertex coloring provides
 these constants (Theorem 4 then derives a dag orientation from them).
 
-This module supplies several classical constructions — greedy in id
-order, Welsh-Powell (largest degree first) and DSATUR — plus
+This module supplies several classical constructions — largest-first
+greedy, first-fit along an order, Welsh-Powell and DSATUR — plus
 verification helpers.  The COLORING protocol itself can also serve as
 the substrate; see :mod:`repro.protocols.composite`.
 """
@@ -14,8 +14,6 @@ the substrate; see :mod:`repro.protocols.composite`.
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional
-
-import networkx as nx
 
 from ..core.exceptions import TopologyError
 from .topology import Network
@@ -48,9 +46,24 @@ def _normalize(raw: Dict[ProcessId, int]) -> Coloring:
 
 
 def greedy_coloring(network: Network) -> Coloring:
-    """Greedy in process-id iteration order; ≤ Δ+1 colors."""
-    raw = nx.greedy_color(network.subgraph_view(), strategy="largest_first")
-    return _normalize(raw)
+    """Largest-first greedy; ≤ Δ+1 colors.
+
+    Processes are taken by non-increasing degree (a stable sort, so ties
+    keep process order) and each gets the least color no neighbor holds.
+    Same colors, and the same key order, as
+    ``nx.greedy_color(strategy="largest_first")`` shifted to 1-based.
+    """
+    adj = network.adjacency
+    order = sorted(range(len(adj)), key=lambda i: len(adj[i]), reverse=True)
+    color = [0] * len(adj)  # 0 = not yet colored
+    for i in order:
+        taken = {color[j] for j in adj[i]}
+        c = 1
+        while c in taken:
+            c += 1
+        color[i] = c
+    labels = network.processes
+    return {labels[i]: color[i] for i in order}
 
 
 def sequential_coloring(network: Network, order: Optional[Iterable[ProcessId]] = None) -> Coloring:
@@ -68,7 +81,9 @@ def sequential_coloring(network: Network, order: Optional[Iterable[ProcessId]] =
 
 def dsatur_coloring(network: Network) -> Coloring:
     """DSATUR — usually fewer colors than plain greedy."""
-    raw = nx.greedy_color(network.subgraph_view(), strategy="saturation_largest_first")
+    import networkx as nx
+
+    raw = nx.greedy_color(network.nx_graph, strategy="saturation_largest_first")
     return _normalize(raw)
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
-import networkx as nx
-
 from ..core.exceptions import TopologyError
-from .topology import Network
+from .generators import chain
+from .topology import Network, network_from_edges
 
 ProcessId = Hashable
 
@@ -26,16 +25,12 @@ def theorem1_chain() -> Network:
 
     Process ids are 1..5 to match the paper's naming.
     """
-    g = nx.Graph()
-    g.add_edges_from([(1, 2), (2, 3), (3, 4), (4, 5)])
-    return Network(g)
+    return network_from_edges([(1, 2), (2, 3), (3, 4), (4, 5)])
 
 
 def theorem1_spliced_chain() -> Network:
     """The 7-process chain of Figure 1(c): p'1—…—p'7."""
-    g = nx.Graph()
-    g.add_edges_from([(i, i + 1) for i in range(1, 7)])
-    return Network(g)
+    return network_from_edges([(i, i + 1) for i in range(1, 7)])
 
 
 def theorem1_gadget(delta: int) -> Network:
@@ -47,12 +42,12 @@ def theorem1_gadget(delta: int) -> Network:
     """
     if delta < 2:
         raise TopologyError("theorem1_gadget needs Δ ≥ 2")
-    g = nx.Graph()
+    edges = []
     for i in range(delta):
-        g.add_edge("c", ("m", i))
+        edges.append(("c", ("m", i)))
         for j in range(delta - 1):
-            g.add_edge(("m", i), ("l", i, j))
-    net = Network(g)
+            edges.append((("m", i), ("l", i, j)))
+    net = network_from_edges(edges)
     assert net.n == delta * delta + 1
     assert net.max_degree == delta
     return net
@@ -75,6 +70,8 @@ class OrientedNetwork:
     root: ProcessId
 
     def __post_init__(self) -> None:
+        import networkx as nx
+
         digraph = nx.DiGraph()
         digraph.add_nodes_from(self.network.processes)
         for p, targets in self.succ.items():
@@ -112,8 +109,7 @@ def theorem2_network() -> OrientedNetwork:
     and p6 are sinks; Δ = 2.  See DESIGN.md §4 for the reconstruction
     argument (the original figure is an image).
     """
-    g = nx.Graph()
-    g.add_edges_from([(1, 2), (2, 5), (5, 4), (4, 6), (6, 3), (3, 1)])
+    net = network_from_edges([(1, 2), (2, 5), (5, 4), (4, 6), (6, 3), (3, 1)])
     succ = {
         1: frozenset({2, 3}),
         2: frozenset({5}),
@@ -122,7 +118,7 @@ def theorem2_network() -> OrientedNetwork:
         5: frozenset(),
         6: frozenset(),
     }
-    return OrientedNetwork(Network(g), succ, root=1)
+    return OrientedNetwork(net, succ, root=1)
 
 
 def theorem2_gadget(delta: int) -> OrientedNetwork:
@@ -167,7 +163,7 @@ def figure9_path(n: int = 7) -> Network:
     """
     if n < 2:
         raise TopologyError("figure9_path needs n ≥ 2")
-    return Network(nx.path_graph(n))
+    return chain(n)
 
 
 def figure11_graph() -> Tuple[Network, List[Tuple[ProcessId, ProcessId]]]:
@@ -183,17 +179,14 @@ def figure11_graph() -> Tuple[Network, List[Tuple[ProcessId, ProcessId]]]:
 
     Returns the network and the tight maximal matching.
     """
-    g = nx.Graph()
-    g.add_edge("a1", "a2")
-    g.add_edge("b1", "b2")
-    g.add_edge("a2", ("t", "shared"))
-    g.add_edge("b1", ("t", "shared"))
+    edges = [("a1", "a2"), ("b1", "b2"), ("a2", ("t", "shared")),
+             ("b1", ("t", "shared"))]
     pend = 0
     for hub, k in (("a1", 3), ("a2", 2), ("b1", 2), ("b2", 3)):
         for _ in range(k):
-            g.add_edge(hub, ("t", pend))
+            edges.append((hub, ("t", pend)))
             pend += 1
-    net = Network(g)
+    net = network_from_edges(edges)
     matching = [("a1", "a2"), ("b1", "b2")]
     if net.m != 14 or net.max_degree != 4:
         raise TopologyError("figure11_graph construction drifted")  # pragma: no cover

@@ -8,19 +8,22 @@ substrate for protocols MIS and MATCHING.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Hashable, Tuple
 
 from ..core.exceptions import TopologyError
 from .coloring import Coloring, assert_local_identifiers
 from .topology import Network
 
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
 ProcessId = Hashable
 
 
-def color_orientation(network: Network, colors: Coloring) -> nx.DiGraph:
+def color_orientation(network: Network, colors: Coloring) -> "nx.DiGraph":
     """The orientation E' = {(p,q) : p~q and C.p ≺ C.q} of Theorem 4."""
+    import networkx as nx
+
     assert_local_identifiers(network, colors)
     digraph = nx.DiGraph()
     digraph.add_nodes_from(network.processes)
@@ -34,6 +37,8 @@ def color_orientation(network: Network, colors: Coloring) -> nx.DiGraph:
 
 def verify_theorem4(network: Network, colors: Coloring) -> bool:
     """Check that the color orientation is acyclic (Theorem 4)."""
+    import networkx as nx
+
     return nx.is_directed_acyclic_graph(color_orientation(network, colors))
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Set, Tuple
 
 from .topology import Network
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 ProcessId = Hashable
 
@@ -40,6 +41,8 @@ class LongestPathResult:
 
 def _tree_longest_path(g: nx.Graph) -> LongestPathResult:
     """Double-BFS: in a tree the longest path is the diameter path."""
+    import networkx as nx
+
     start = next(iter(g.nodes))
     far1 = max(nx.single_source_shortest_path_length(g, start).items(), key=lambda kv: kv[1])[0]
     lengths = nx.single_source_shortest_path(g, far1)
@@ -123,9 +126,11 @@ def longest_elementary_path(
     seed: Optional[int] = None,
 ) -> LongestPathResult:
     """L_max of the network (see module docstring for exactness rules)."""
-    g = network.subgraph_view()
     if network.n == 1:
         return LongestPathResult(0, True, (network.processes[0],))
+    import networkx as nx
+
+    g = network.nx_graph
     if nx.is_tree(g):
         return _tree_longest_path(g)
     exact = _exact_longest_path(g, exact_budget)

@@ -8,7 +8,7 @@ Lemma 2's potential-function argument.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
 from ..core.state import Configuration
 from ..graphs.topology import Network
@@ -16,24 +16,34 @@ from ..graphs.topology import Network
 ProcessId = Hashable
 
 
+def values_of(network: Network, config: Configuration, var: str) -> Dict[ProcessId, Any]:
+    """``p -> config.get(p, var)`` for every process, read in one pass
+    over the flat rows when the configuration is in network order."""
+    pids = network.processes
+    aligned = getattr(config, "aligned_storage", None)
+    storage = aligned(pids) if aligned is not None else None
+    if storage is None:
+        get = config.get
+        return {p: get(p, var) for p in pids}
+    layouts, rows = storage
+    return {p: row[layout.index[var]]
+            for p, layout, row in zip(pids, layouts, rows)}
+
+
 def coloring_predicate(
     network: Network, config: Configuration, var: str = "C"
 ) -> bool:
     """The vertex coloring predicate over communication variable ``var``."""
-    return all(
-        config.get(p, var) != config.get(q, var) for p, q in network.edges()
-    )
+    color = values_of(network, config, var)
+    return all(color[p] != color[q] for p, q in network.edges())
 
 
 def conflicting_edges(
     network: Network, config: Configuration, var: str = "C"
 ) -> List[Tuple[ProcessId, ProcessId]]:
     """Edges whose endpoints share a color."""
-    return [
-        (p, q)
-        for p, q in network.edges()
-        if config.get(p, var) == config.get(q, var)
-    ]
+    color = values_of(network, config, var)
+    return [(p, q) for p, q in network.edges() if color[p] == color[q]]
 
 
 def conflict_count(
@@ -50,4 +60,4 @@ def conflict_count(
 
 def colors_used(network: Network, config: Configuration, var: str = "C") -> int:
     """Number of distinct colors in the configuration."""
-    return len({config.get(p, var) for p in network.processes})
+    return len(set(values_of(network, config, var).values()))

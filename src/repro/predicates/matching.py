@@ -12,6 +12,7 @@ from typing import Hashable, List, Set, Tuple
 
 from ..core.state import Configuration
 from ..graphs.topology import Network
+from .coloring import values_of
 
 ProcessId = Hashable
 Edge = Tuple[ProcessId, ProcessId]
@@ -36,14 +37,11 @@ def is_married(network: Network, config: Configuration, p: ProcessId) -> bool:
 
 def matched_edges(network: Network, config: Configuration) -> List[Edge]:
     """Edges {p,q} whose endpoints' PR pointers designate each other."""
-    edges = []
-    for p, q in network.edges():
-        if (
-            pr_target(network, config, p) == q
-            and pr_target(network, config, q) == p
-        ):
-            edges.append((p, q))
-    return edges
+    at = network.neighbor_at
+    target = {p: at(p, port) if port else None
+              for p, port in values_of(network, config, "PR").items()}
+    return [(p, q) for p, q in network.edges()
+            if target[p] == q and target[q] == p]
 
 
 def is_matching(network: Network, edges: List[Edge]) -> bool:

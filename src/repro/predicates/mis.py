@@ -12,6 +12,7 @@ from typing import Hashable, List, Set
 
 from ..core.state import Configuration
 from ..graphs.topology import Network
+from .coloring import values_of
 
 ProcessId = Hashable
 
@@ -23,24 +24,24 @@ def dominators(
     network: Network, config: Configuration, var: str = "S"
 ) -> Set[ProcessId]:
     """The set {p : S.p = Dominator} (the claimed independent set)."""
-    return {p for p in network.processes if config.get(p, var) == DOMINATOR}
+    return {p for p, s in values_of(network, config, var).items()
+            if s == DOMINATOR}
 
 
 def is_independent_set(network: Network, members: Set[ProcessId]) -> bool:
     """No two members are neighbors."""
-    return all(
-        not (p in members and q in members) for p, q in network.edges()
-    )
+    return not any(p in members and q in members for p, q in network.edges())
 
 
 def is_maximal_independent_set(network: Network, members: Set[ProcessId]) -> bool:
     """Independent and not extendable by any process."""
     if not is_independent_set(network, members):
         return False
-    for p in network.processes:
-        if p not in members and not any(q in members for q in network.neighbors(p)):
-            return False
-    return True
+    covered = set(members)
+    for p in members:
+        if p in network:
+            covered.update(network.neighbors(p))
+    return covered.issuperset(network.processes)
 
 
 def mis_predicate(network: Network, config: Configuration, var: str = "S") -> bool:

@@ -74,6 +74,22 @@ class TestRegistry:
             reg.build("buggy")
 
 
+class TestColoringSubstrate:
+    def test_unknown_coloring_algorithm(self):
+        with pytest.raises(ValueError, match="unknown coloring algorithm"):
+            protocol_registry.build("mis", ring(6), coloring="rainbow")
+
+    def test_colorer_keyerror_is_not_reported_as_unknown(self, monkeypatch):
+        from repro.api import registry
+
+        def broken(network):
+            raise KeyError("inside the colorer")
+
+        monkeypatch.setitem(registry._COLORERS, "greedy", broken)
+        with pytest.raises(KeyError, match="inside the colorer"):
+            protocol_registry.build("mis", ring(6))
+
+
 class TestRegistryCompleteness:
     """Every exported implementation must be resolvable by name."""
 
@@ -182,6 +198,48 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown ExperimentSpec"):
             ExperimentSpec.from_dict({"protocol": "coloring",
                                       "topology": "ring", "budget": 3})
+
+    def test_unseeded_random_topology_is_reproducible(self):
+        spec = ExperimentSpec("coloring", "sparse", scheduler="central",
+                              topology_params={"n": 100}, seed=3)
+        first, second = spec.run(), spec.run()
+        assert (first.m, first.steps) == (second.m, second.steps)
+        assert first == second
+
+    def test_spec_seed_picks_the_topology_seed(self):
+        spec = ExperimentSpec("coloring", "gnp",
+                              topology_params={"n": 30, "p": 0.2}, seed=1)
+        net = spec.build_network()
+        assert net.edges() == spec.build_network().edges()
+        assert net.edges() != spec.variant(seed=2).build_network().edges()
+        # An explicit seed still wins over the spec seed.
+        seeded = spec.variant(topology_params={"n": 30, "p": 0.2, "seed": 5})
+        assert (seeded.build_network().edges()
+                == seeded.variant(seed=9).build_network().edges())
+
+    def test_derived_topology_seed_versions_the_key(self):
+        unseeded = ExperimentSpec("coloring", "sparse",
+                                  topology_params={"n": 100}, seed=3)
+        # The key of the same spec before topology seeds were derived.
+        assert unseeded.key() != "coloring/sparse/synchronous/s3/f9c59d1014a1"
+        assert unseeded.key().startswith("coloring/sparse/synchronous/s3/")
+
+    def test_other_keys_unchanged(self):
+        # Keys computed before topology seeds were derived.
+        assert ExperimentSpec(
+            "coloring", "ring", topology_params={"n": 5}).key() == (
+            "coloring/ring/synchronous/s0/58c938b8ef2e")
+        assert ExperimentSpec(
+            "mis", "gnp", topology_params={"n": 20, "p": 0.3, "seed": 1},
+            seed=2).key() == "mis/gnp/synchronous/s2/5fd429cf9043"
+        assert ExperimentSpec(
+            "matching", "torus", topology_params={"rows": 4, "cols": 5},
+            scheduler="central", seed=9).key() == (
+            "matching/torus/central/s9/5284efcc1032")
+        assert ExperimentSpec(
+            "coloring", "sparse", topology_params={"n": 30, "seed": 2},
+            metrics="off").key() == (
+            "coloring/sparse/synchronous/s0/f71376349e03")
 
     def test_key_distinguishes_params_and_seed(self):
         base = ExperimentSpec(protocol="coloring", topology="ring",
